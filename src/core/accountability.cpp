@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <optional>
 
 #include "src/core/coalesce.h"
@@ -74,6 +75,26 @@ std::optional<ibc::IbsBatchItem> trace_batch_item(const ibc::PublicParams& pub,
     return std::nullopt;
   }
 }
+/// Queues one verification round on an empty `co` (tickets follow item
+/// order). An identity signing at least twice in the round gets a
+/// precomputed IbsVerifier (H1(ID) and ê(H1(ID), Ppub) once, then one Miller
+/// evaluation per signature); a singleton takes the coalescer's cold form.
+/// `verifiers` must outlive the drain.
+void queue_round(
+    PairingCoalescer& co, const ibc::PublicParams& pub,
+    std::span<const ibc::IbsBatchItem> items,
+    std::map<std::string, ibc::IbsVerifier>& verifiers) {
+  std::map<std::string_view, size_t> uses;
+  for (const ibc::IbsBatchItem& item : items) ++uses[item.id];
+  for (const ibc::IbsBatchItem& item : items) {
+    if (uses[item.id] < 2) {
+      co.add_ibs_verify(item.id, item.message, item.sig);
+      continue;
+    }
+    auto v = verifiers.try_emplace(item.id, pub, item.id).first;
+    co.add_ibs_verify(v->second, item.message, item.sig);
+  }
+}
 }  // namespace
 
 AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
@@ -83,30 +104,34 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
                   par::ThreadPool* pool) {
   AuditReport report;
 
-  // Both verification rounds share one PairingCoalescer: the drains fuse
-  // each signature's two pairings into a single Miller product and batch
-  // the final exponentiations (one modular inversion per round), and the
-  // Ppub line table carries over from round 1 to round 2. H1(ID) hashing is
-  // cached per identity inside each drain — round 1's single shared
-  // A-server identity hashes exactly once.
+  // Both verification rounds share one PairingCoalescer: each signature
+  // costs one Miller evaluation and the final exponentiations are batched
+  // (one modular inversion per round). Repeated identities — round 1's
+  // single A-server identity above all — hash H1(ID) once per audit
+  // (queue_round); the verifiers and the coalescer's Ppub line table carry
+  // over from round 1 to round 2.
   PairingCoalescer verifier(pub);
+  std::map<std::string, ibc::IbsVerifier> id_verifiers;
 
   // Round 1: every RD carries an A-server signature.
   std::vector<size_t> rd_slot(records.size(), SIZE_MAX);
+  std::vector<ibc::IbsBatchItem> rd_items;
   for (size_t i = 0; i < records.size(); ++i) {
     std::optional<ibc::IbsBatchItem> item =
         rd_batch_item(pub, aserver_id, records[i]);
     if (item.has_value()) {
-      rd_slot[i] =
-          verifier.add_ibs_verify(item->id, item->message, item->sig);
+      rd_slot[i] = rd_items.size();
+      rd_items.push_back(std::move(*item));
     }
   }
+  queue_round(verifier, pub, rd_items, id_verifiers);
   std::vector<uint8_t> rd_ok = verifier.drain(pool).ibs_ok;
 
   // Round 2: traces matched by a verified RD, keyed by trace pointer so a
   // trace referenced twice is only verified once.
   std::vector<const TraceRecord*> rd_match(records.size(), nullptr);
   std::vector<const TraceRecord*> tr_of_item;
+  std::vector<ibc::IbsBatchItem> tr_items;
   for (size_t i = 0; i < records.size(); ++i) {
     if (rd_slot[i] == SIZE_MAX || !rd_ok[rd_slot[i]]) continue;
     const TraceRecord* match = find_trace(traces, records[i]);
@@ -116,11 +141,12 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
         tr_of_item.end()) {
       std::optional<ibc::IbsBatchItem> item = trace_batch_item(pub, *match);
       if (item.has_value()) {
-        verifier.add_ibs_verify(item->id, item->message, item->sig);
+        tr_items.push_back(std::move(*item));
         tr_of_item.push_back(match);
       }
     }
   }
+  queue_round(verifier, pub, tr_items, id_verifiers);
   std::vector<uint8_t> tr_ok = verifier.drain(pool).ibs_ok;
   auto trace_verified = [&](const TraceRecord* tr) {
     for (size_t j = 0; j < tr_of_item.size(); ++j) {

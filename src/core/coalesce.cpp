@@ -1,5 +1,6 @@
 #include "src/core/coalesce.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
@@ -38,16 +39,30 @@ size_t PairingCoalescer::add_shared_key(const ibc::SharedKeyDeriver& deriver,
   return key_tickets_.size() - 1;
 }
 
-size_t PairingCoalescer::add_ibs_verify(std::string_view id,
-                                        BytesView message,
-                                        const ibc::IbsSignature& sig) {
+size_t PairingCoalescer::add_sig(SigReq req) {
   if (!pub_.has_value()) {
     throw std::logic_error(
         "PairingCoalescer: IBS verification needs the PublicParams ctor");
   }
-  sigs_.push_back({std::string(id), Bytes(message.begin(), message.end()),
-                   sig});
+  sigs_.push_back(std::move(req));
   return sigs_.size() - 1;
+}
+
+size_t PairingCoalescer::add_ibs_verify(std::string_view id,
+                                        BytesView message,
+                                        const ibc::IbsSignature& sig) {
+  return add_sig({nullptr, std::string(id),
+                  Bytes(message.begin(), message.end()), sig});
+}
+
+size_t PairingCoalescer::add_ibs_verify(const ibc::IbsVerifier& verifier,
+                                        BytesView message,
+                                        const ibc::IbsSignature& sig) {
+  if (&verifier.ctx() != ctx_) {
+    throw std::invalid_argument(
+        "PairingCoalescer: verifier from another curve context");
+  }
+  return add_sig({&verifier, {}, Bytes(message.begin(), message.end()), sig});
 }
 
 PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
@@ -57,13 +72,18 @@ PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
   obs::count(obs::kCoalesceDrains);
   obs::count(obs::kCoalesceRequests, total);
 
-  if (!sigs_.empty() && !ppub_pre_.has_value()) {
+  const bool any_cold = std::any_of(sigs_.begin(), sigs_.end(),
+                                    [](const SigReq& sr) {
+                                      return sr.verifier == nullptr;
+                                    });
+  if (any_cold && !ppub_pre_.has_value()) {
     ppub_pre_.emplace(*ctx_, pub_->p_pub);
   }
 
   // Stage 1: Miller evaluations over cached line tables. Shared-key millers
-  // occupy slots [0, key_unique_.size()); each valid signature appends its
-  // fused product ê_miller(W, P)·ê_miller(−v·H1(ID), Ppub) after them.
+  // occupy slots [0, key_unique_.size()); each valid signature appends
+  // ê_miller(W, P) after them — fused with ê_miller(−v·H1(ID), Ppub) for a
+  // cold identity.
   std::vector<field::Fp2> millers;
   millers.reserve(key_unique_.size() + sigs_.size());
   for (const KeyReq& kr : key_unique_) {
@@ -72,31 +92,25 @@ PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
 
   constexpr size_t kInvalid = static_cast<size_t>(-1);
   std::vector<size_t> sig_slot(sigs_.size(), kInvalid);
-  size_t fused = 0;
-  size_t id_cache_hits = 0;
+  size_t checked = 0;
   if (!sigs_.empty()) {
     const curve::PairingPrecomp& gen_pre = curve::generator_precomp(*ctx_);
-    // H1(ID) cache: audit rounds and emergency bursts repeat identities.
-    std::unordered_map<std::string_view, curve::Point> q_ids;
     for (size_t i = 0; i < sigs_.size(); ++i) {
       const SigReq& sr = sigs_[i];
       const ibc::IbsSignature& sig = sr.sig;
       if (sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx_->q)) {
         continue;  // malformed: rejected without any pairing work
       }
-      auto [it, inserted] = q_ids.try_emplace(std::string_view(sr.id));
-      if (inserted) {
-        it->second = ibc::Domain::public_key(*ctx_, sr.id);
-      } else {
-        ++id_cache_hits;
+      field::Fp2 f = gen_pre.miller_with(sig.w);
+      if (sr.verifier == nullptr) {
+        // Cold identity: fold ê(−v·H1(ID), Ppub) into the same product.
+        mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx_->q);
+        curve::Point q_id = ibc::Domain::public_key(*ctx_, sr.id);
+        f = f * ppub_pre_->miller_with(curve::mul(*ctx_, q_id, neg_v));
       }
-      mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx_->q);
-      field::Fp2 f =
-          gen_pre.miller_with(sig.w) *
-          ppub_pre_->miller_with(curve::mul(*ctx_, it->second, neg_v));
       sig_slot[i] = millers.size();
       millers.push_back(f);
-      ++fused;
+      ++checked;
     }
   }
 
@@ -118,17 +132,21 @@ PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
   d.ibs_ok.assign(sigs_.size(), 0);
   for (size_t i = 0; i < sigs_.size(); ++i) {
     if (sig_slot[i] == kInvalid) continue;
-    d.ibs_ok[i] =
-        ibc::ibs_challenge(*ctx_, sigs_[i].message, gts[sig_slot[i]]) ==
-                sigs_[i].sig.v
-            ? 1
-            : 0;
+    const SigReq& sr = sigs_[i];
+    curve::Gt u = gts[sig_slot[i]];
+    if (sr.verifier != nullptr) {
+      // Precomputed identity: the cached ê(H1(ID), Ppub)^{−v} factor.
+      u = u * sr.verifier->g_id().pow(
+                  mp::sub_mod(mp::U512{}, sr.sig.v, ctx_->q));
+    }
+    d.ibs_ok[i] = ibc::ibs_challenge(*ctx_, sr.message, u) == sr.sig.v ? 1 : 0;
   }
 
   // One pairing saved per deduplicated key request (skipped outright) and
-  // per fused signature (two one-at-a-time pairings became one product).
-  d.pairings_saved = dedup_hits_ + fused;
-  obs::count(obs::kCoalesceDedupHits, dedup_hits_ + id_cache_hits);
+  // per signature checked with one Miller evaluation instead of two
+  // pairings.
+  d.pairings_saved = dedup_hits_ + checked;
+  obs::count(obs::kCoalesceDedupHits, dedup_hits_);
   obs::count(obs::kCoalescePairingsSaved, d.pairings_saved);
 
   key_unique_.clear();

@@ -17,11 +17,17 @@
 // tests/test_coalesce.cpp.
 //
 // Hess IBS cannot be merged into a single product *check* (each u' feeds its
-// own H3 — see ibs.h), so per signature the two pairings become one fused
-// Miller product; the final exponentiations are then shared batch-wide.
+// own H3 — see ibs.h), so per signature the two pairings become one Miller
+// evaluation; the final exponentiations are then shared batch-wide. A
+// signer the owner already knows comes with its ibc::IbsVerifier (H1(ID)
+// and ê(H1(ID), Ppub) precomputed, e.g. the A-server's per-physician cache)
+// and costs ê_miller(W, P) plus one Gt exponentiation; an unknown signer
+// takes the cold form, hashing H1(ID) and fusing ê_miller(−v·H1(ID), Ppub)
+// into the same Miller product.
 //
 // Not thread-safe: one coalescer belongs to one collecting thread. Queued
-// SharedKeyDeriver references must outlive the drain() call.
+// SharedKeyDeriver and IbsVerifier references must outlive the drain()
+// call.
 #pragma once
 
 #include <optional>
@@ -56,7 +62,16 @@ class PairingCoalescer {
 
   /// Queues ibs_verify(pub, id, message, sig). Returns the ticket indexing
   /// Drained::ibs_ok. Throws std::logic_error on a key-only coalescer.
+  /// This is the cold form: it hashes H1(ID) for every signature it checks
+  /// and fuses the two verification pairings into one Miller product.
   size_t add_ibs_verify(std::string_view id, BytesView message,
+                        const ibc::IbsSignature& sig);
+  /// Queues verifier.verify(message, sig), taking H1(ID) and
+  /// ê(H1(ID), Ppub) from the caller's precomputed verifier: one Miller
+  /// evaluation of ê(W, P), then u' = ê(W, P)·ê(H1(ID), Ppub)^{−v} after the
+  /// batched final exponentiation. The verifier must belong to this
+  /// coalescer's domain and outlive the drain() call.
+  size_t add_ibs_verify(const ibc::IbsVerifier& verifier, BytesView message,
                         const ibc::IbsSignature& sig);
 
   [[nodiscard]] size_t pending() const noexcept {
@@ -66,9 +81,10 @@ class PairingCoalescer {
   struct Drained {
     std::vector<Bytes> shared_keys;  // by add_shared_key ticket order
     std::vector<uint8_t> ibs_ok;     // by add_ibs_verify ticket order
-    // Full pairings this drain avoided versus the one-at-a-time path:
-    // one per deduplicated shared-key request plus one per signature whose
-    // two verification pairings were fused into a single Miller product.
+    // Full pairings this drain avoided versus the one-at-a-time paths
+    // (SharedKeyDeriver::with_point, ibs_verify): one per deduplicated
+    // shared-key request plus one per signature checked with a single
+    // Miller evaluation instead of ibs_verify's two pairings.
     size_t pairings_saved = 0;
   };
 
@@ -83,10 +99,12 @@ class PairingCoalescer {
     curve::Point peer;
   };
   struct SigReq {
+    const ibc::IbsVerifier* verifier;  // nullptr: cold form, hashes `id`
     std::string id;
     Bytes message;
     ibc::IbsSignature sig;
   };
+  size_t add_sig(SigReq req);
 
   const curve::CurveCtx* ctx_;
   std::optional<ibc::PublicParams> pub_;

@@ -119,15 +119,7 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve(
     return permanent_error(ErrorCode::kBadResponse, attempts,
                            "privileged response failed authentication");
   }
-  std::vector<sse::PlainFile> out;
-  for (const auto& [id, blob] : resp2.files) {
-    try {
-      out.push_back(sse::decrypt_file(pb.keys, blob));
-    } catch (const std::exception&) {
-      // skip tampered blobs
-    }
-  }
-  return out;
+  return decrypt_files(pb.keys, resp2);
 }
 
 /// Read failover (§VI.D): the same retrieval tried replica-by-replica;
@@ -252,7 +244,7 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::handle_emergency_auth(
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (!ibc::ibs_verify(pub(), req.physician_id, req.body(), sig)) {
+  if (!verify_physician(req.physician_id, req.body(), sig)) {
     return std::nullopt;
   }
   return finish_emergency_auth(req);
@@ -267,7 +259,8 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
 
   // Freshness and signature decoding stay serial and in arrival order, so a
   // duplicate inside the batch hits the replay cache exactly as it would
-  // have arriving one request later.
+  // have arriving one request later. On-duty physicians' links are built
+  // here too, before any pool work reads them.
   PairingCoalescer co(pub());
   constexpr size_t kNone = static_cast<size_t>(-1);
   std::vector<size_t> ticket(reqs.size(), kNone);
@@ -277,7 +270,10 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
     try {
       ibc::IbsSignature sig =
           ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-      ticket[i] = co.add_ibs_verify(req.physician_id, req.body(), sig);
+      const PhysicianLink* link = physician_link(req.physician_id);
+      ticket[i] = link != nullptr
+                      ? co.add_ibs_verify(link->verifier, req.body(), sig)
+                      : co.add_ibs_verify(req.physician_id, req.body(), sig);
     } catch (const std::exception&) {
     }
   }
@@ -294,7 +290,8 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
 
 std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
     const EmergencyAuthRequest& req) {
-  if (!is_on_duty(req.physician_id)) return std::nullopt;
+  const PhysicianLink* link = physician_link(req.physician_id);
+  if (link == nullptr) return std::nullopt;  // not on duty
 
   curve::Point tp;
   try {
@@ -310,13 +307,12 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
   EmergencyAuthOutcome out;
 
   // Step 2: passcode to the physician under the pairwise key ϖ.
-  Bytes varpi = key_deriver_.with_id(req.physician_id);
+  const ibc::IbsSigner& sign = signer();
   out.to_physician.enc_nonce =
-      cipher::aead_encrypt(varpi, nonce, {}, rng_);
+      cipher::aead_encrypt(link->varpi, nonce, {}, rng_);
   out.to_physician.t = t11;
   out.to_physician.sig =
-      ibc::ibs_sign(domain_.ctx(), self_key_, id_,
-                    out.to_physician.body(req.physician_id, req.tp), rng_)
+      sign.sign(out.to_physician.body(req.physician_id, req.tp), rng_)
           .to_bytes();
 
   // Step 3: passcode to the P-device under IBE_TPp.
@@ -328,14 +324,9 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
   out.to_pdevice.ibe_blob =
       ibc::ibe_encrypt_to_point(pub(), tp, inner.data(), rng_).to_bytes();
   out.to_pdevice.t = t11;
-  out.to_pdevice.sig =
-      ibc::ibs_sign(domain_.ctx(), self_key_, id_,
-                    out.to_pdevice.body(req.tp), rng_)
-          .to_bytes();
+  out.to_pdevice.sig = sign.sign(out.to_pdevice.body(req.tp), rng_).to_bytes();
   out.to_pdevice.audit_sig =
-      ibc::ibs_sign(domain_.ctx(), self_key_, id_,
-                    rd_statement(req.physician_id, req.tp, t11), rng_)
-          .to_bytes();
+      sign.sign(rd_statement(req.physician_id, req.tp, t11), rng_).to_bytes();
 
   // TR: the accountability trace (§IV.E.2) — the loose log the legacy audit
   // reads, plus the tamper-evident hash-chained mirror the ledger audit
@@ -354,8 +345,7 @@ Result<Physician::PasscodeResult> Physician::try_request_passcode(
   req.physician_id = id_;
   req.tp = Bytes(patient_tp.begin(), patient_tp.end());
   req.t = net_->clock().now();
-  req.sig = ibc::ibs_sign(*ctx_, private_key_, id_, req.body(), rng_)
-                .to_bytes();
+  req.sig = signer().sign(req.body(), rng_).to_bytes();
 
   sim::CallOutcome<AServer::EmergencyAuthOutcome> out =
       net_->transport().request<AServer::EmergencyAuthOutcome>(
@@ -384,14 +374,14 @@ Result<Physician::PasscodeResult> Physician::try_request_passcode(
   try {
     ibc::IbsSignature sig = ibc::IbsSignature::from_bytes(
         *ctx_, outcome.to_physician.sig);
-    if (!ibc::ibs_verify(authority.pub(), authority.id(),
-                         outcome.to_physician.body(id_, req.tp), sig)) {
+    const OfficeLink& office = office_link(authority);
+    if (!office.verifier.verify(outcome.to_physician.body(id_, req.tp),
+                                sig)) {
       return permanent_error(ErrorCode::kBadResponse, out.attempts,
                              "office signature failed verification");
     }
-    Bytes varpi = key_deriver_.with_id(authority.id());
-    Bytes nonce =
-        cipher::aead_decrypt(varpi, outcome.to_physician.enc_nonce, {});
+    Bytes nonce = cipher::aead_decrypt(office.varpi,
+                                       outcome.to_physician.enc_nonce, {});
     return PasscodeResult{std::move(nonce), std::move(outcome.to_pdevice)};
   } catch (const std::exception&) {
     return permanent_error(ErrorCode::kBadResponse, out.attempts,
@@ -438,8 +428,7 @@ bool PDevice::deliver_passcode(const AServer& authority,
   try {
     ibc::IbsSignature sig =
         ibc::IbsSignature::from_bytes(ctx, msg.sig);
-    if (!ibc::ibs_verify(authority.pub(), authority.id(),
-                         msg.body(bundle_->tp), sig)) {
+    if (!office_verifier(authority).verify(msg.body(bundle_->tp), sig)) {
       return false;
     }
     curve::Point gamma = curve::point_from_bytes(ctx, bundle_->gamma);

@@ -54,11 +54,39 @@ ibc::Domain::Pseudonym AServer::issue_pseudonym() const {
 
 void AServer::set_on_duty(const std::string& physician_id, bool on_duty) {
   on_duty_[physician_id] = on_duty;
+  if (!on_duty) physician_links_.erase(physician_id);
 }
 
 bool AServer::is_on_duty(const std::string& physician_id) const {
   auto it = on_duty_.find(physician_id);
   return it != on_duty_.end() && it->second;
+}
+
+const AServer::PhysicianLink* AServer::physician_link(
+    const std::string& physician_id) {
+  auto it = physician_links_.find(physician_id);
+  if (it != physician_links_.end()) return &it->second;
+  if (!is_on_duty(physician_id)) return nullptr;
+  ibc::IbsVerifier verifier(pub(), physician_id);
+  Bytes varpi = key_deriver_.with_point(verifier.q_id());
+  return &physician_links_
+              .try_emplace(physician_id,
+                           PhysicianLink{std::move(verifier), std::move(varpi)})
+              .first->second;
+}
+
+bool AServer::verify_physician(const std::string& physician_id,
+                               BytesView message,
+                               const ibc::IbsSignature& sig) {
+  if (const PhysicianLink* link = physician_link(physician_id)) {
+    return link->verifier.verify(message, sig);
+  }
+  return ibc::ibs_verify(pub(), physician_id, message, sig);
+}
+
+const ibc::IbsSigner& AServer::signer() {
+  if (!signer_.has_value()) signer_.emplace(domain_.ctx(), self_key_, id_);
+  return *signer_;
 }
 
 // ---- SServer ---------------------------------------------------------------
@@ -546,6 +574,20 @@ bool PDevice::receive_bundle(BytesView sealed, BytesView mu) {
 
 void PDevice::press_emergency_button() { emergency_mode_ = true; }
 
+const ibc::IbsVerifier& PDevice::office_verifier(const AServer& office) {
+  auto it = office_verifiers_.find(office.id());
+  if (it == office_verifiers_.end() ||
+      !(it->second.first == office.pub().p_pub)) {
+    it = office_verifiers_
+             .insert_or_assign(office.id(),
+                               std::pair(office.pub().p_pub,
+                                         ibc::IbsVerifier(office.pub(),
+                                                          office.id())))
+             .first;
+  }
+  return it->second.second;
+}
+
 void PDevice::collect_mhi(MhiWindow window) {
   mhi_.push_back(std::move(window));
 }
@@ -562,5 +604,25 @@ Physician::Physician(sim::Network& net, const AServer& authority,
       private_key_(authority.provision(id_)),
       key_deriver_(*ctx_, private_key_),
       rng_(to_bytes("physician-" + id_)) {}
+
+const Physician::OfficeLink& Physician::office_link(const AServer& office) {
+  auto it = offices_.find(office.id());
+  if (it == offices_.end() || !(it->second.p_pub == office.pub().p_pub)) {
+    ibc::IbsVerifier verifier(office.pub(), office.id());
+    Bytes varpi = key_deriver_.with_point(verifier.q_id());
+    it = offices_
+             .insert_or_assign(office.id(),
+                               OfficeLink{office.pub().p_pub,
+                                          std::move(verifier),
+                                          std::move(varpi)})
+             .first;
+  }
+  return it->second;
+}
+
+const ibc::IbsSigner& Physician::signer() {
+  if (!signer_.has_value()) signer_.emplace(*ctx_, private_key_, id_);
+  return *signer_;
+}
 
 }  // namespace hcpp::core

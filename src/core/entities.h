@@ -24,6 +24,7 @@
 #include "src/core/record.h"
 #include "src/ibc/domain.h"
 #include "src/ibc/hibc.h"
+#include "src/ibc/ibs.h"
 #include "src/ledger/ledger.h"
 #include "src/peks/peks.h"
 #include "src/sim/network.h"
@@ -88,6 +89,12 @@ class AServer {
   void set_on_duty(const std::string& physician_id, bool on_duty);
   [[nodiscard]] bool is_on_duty(const std::string& physician_id) const;
 
+  /// Physicians with a precomputed link (physician_link); never more than
+  /// the on-duty registry holds.
+  [[nodiscard]] size_t physician_cache_size() const noexcept {
+    return physician_links_.size();
+  }
+
   /// §IV.E.2 steps 1–3. Returns the two signed outbound messages, or nullopt
   /// when the signature fails, the timestamp is stale, or the physician is
   /// not on duty.
@@ -135,12 +142,30 @@ class AServer {
   std::optional<EmergencyAuthOutcome> finish_emergency_auth(
       const EmergencyAuthRequest& req);
 
+  /// Per-physician precomputation: what verifying the physician's IBS and
+  /// deriving ϖ would otherwise hash and pair on every request.
+  struct PhysicianLink {
+    ibc::IbsVerifier verifier;  // H1(ID_i) and ê(H1(ID_i), Ppub)
+    Bytes varpi;                // ϖ = KDF(ê(Γ_A, H1(ID_i)))
+  };
+  /// The link of an on-duty physician, built on first use; nullptr for any
+  /// other id, so a request naming an unknown physician never adds an entry.
+  const PhysicianLink* physician_link(const std::string& physician_id);
+  /// ibs_verify(pub(), physician_id, message, sig), through the cached link
+  /// when the physician is on duty.
+  bool verify_physician(const std::string& physician_id, BytesView message,
+                        const ibc::IbsSignature& sig);
+  /// Γ_A's precomputed signer, built on first use.
+  const ibc::IbsSigner& signer();
+
   sim::Network* net_;
   std::string id_;
   ibc::Domain domain_;
   curve::Point self_key_;  // Γ_A (signing / shared keys)
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_A NIKE precomputation
+  std::optional<ibc::IbsSigner> signer_;
   std::map<std::string, bool> on_duty_;
+  std::map<std::string, PhysicianLink> physician_links_;
   std::vector<TraceRecord> traces_;
   ledger::Ledger trace_ledger_;
   mutable cipher::Drbg rng_;
@@ -607,8 +632,14 @@ class PDevice {
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
 
  private:
+  /// The precomputed verifier for an A-server office this device has been
+  /// handed, built on first use and rebuilt if the office's Ppub changes.
+  const ibc::IbsVerifier& office_verifier(const AServer& office);
+
   sim::Network* net_;
   std::string id_;
+  std::map<std::string, std::pair<curve::Point, ibc::IbsVerifier>>
+      office_verifiers_;  // office id -> (Ppub, verifier)
   std::optional<PrivilegeBundle> bundle_;
   bool emergency_mode_ = false;
   std::optional<Bytes> pending_nonce_;
@@ -684,6 +715,18 @@ class Physician {
       const curve::Point& role_key);
 
  private:
+  /// Per-office precomputation for the A-server offices this physician has
+  /// been handed: verifying the office's IBS and deriving ϖ.
+  struct OfficeLink {
+    curve::Point p_pub;         // the office's domain, checked on each use
+    ibc::IbsVerifier verifier;  // H1(ID_A) and ê(H1(ID_A), Ppub)
+    Bytes varpi;                // ϖ = KDF(ê(Γ_i, H1(ID_A)))
+  };
+  /// Built on first use; rebuilt if the office's Ppub changes.
+  const OfficeLink& office_link(const AServer& office);
+  /// Γ_i's precomputed signer, built on first use.
+  const ibc::IbsSigner& signer();
+
   sim::Network* net_;
   std::string id_;
   const curve::CurveCtx* ctx_;
@@ -691,6 +734,8 @@ class Physician {
   std::string authority_id_;
   curve::Point private_key_;  // Γ_i
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_i NIKE precomputation
+  std::optional<ibc::IbsSigner> signer_;
+  std::map<std::string, OfficeLink> offices_;
   mutable cipher::Drbg rng_;
 };
 

@@ -1,6 +1,7 @@
 #include "src/core/messages.h"
 
 #include "src/hash/hmac.h"
+#include "src/obs/metrics.h"
 
 namespace hcpp::core {
 
@@ -17,6 +18,20 @@ bool protocol_mac_ok(BytesView key, std::string_view label, BytesView body,
                      uint64_t timestamp_ns, BytesView mac) {
   Bytes expected = protocol_mac(key, label, body, timestamp_ns);
   return ct_equal(expected, mac);
+}
+
+std::vector<sse::PlainFile> decrypt_files(const sse::Keys& keys,
+                                          const RetrieveResponse& resp) {
+  std::vector<sse::PlainFile> out;
+  out.reserve(resp.files.size());
+  for (const auto& [id, blob] : resp.files) {
+    try {
+      out.push_back(sse::decrypt_file(keys, blob));
+    } catch (const std::exception&) {
+      obs::count(obs::kRetrieveBlobsSkipped);
+    }
+  }
+  return out;
 }
 
 namespace {

@@ -76,6 +76,14 @@ struct RetrieveResponse {
   static RetrieveResponse from_wire(BytesView b);
 };
 
+/// Decrypts the Λ(kw) blobs of a retrieval response (§IV.D and the §IV.E
+/// privileged path). A blob that fails authenticated decryption — tampered
+/// in storage or in transit — is left out rather than aborting the
+/// treatment flow, and counted under obs::kRetrieveBlobsSkipped so the
+/// omission is visible.
+std::vector<sse::PlainFile> decrypt_files(const sse::Keys& keys,
+                                          const RetrieveResponse& resp);
+
 // ---- §IV.E.1 family-based emergency retrieval -----------------------------
 struct BeBlobRequest {
   Bytes tp;

@@ -113,8 +113,7 @@ Result<curve::Point> Physician::try_request_role_key(
   req.physician_id = id_;
   req.role_id = role_id;
   req.t = net_->clock().now();
-  req.sig =
-      ibc::ibs_sign(*ctx_, private_key_, id_, req.body(), rng_).to_bytes();
+  req.sig = signer().sign(req.body(), rng_).to_bytes();
   sim::CallOutcome<curve::Point> out =
       net_->transport().request<curve::Point>(
           id_, authority.id(), req.wire_size(), req.sig, kRoleKeyLabel,
@@ -151,7 +150,7 @@ std::optional<curve::Point> AServer::handle_role_key_request(
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (!ibc::ibs_verify(pub(), req.physician_id, req.body(), sig)) {
+  if (!verify_physician(req.physician_id, req.body(), sig)) {
     return std::nullopt;
   }
   if (!is_on_duty(req.physician_id)) return std::nullopt;

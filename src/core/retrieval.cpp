@@ -17,19 +17,6 @@ namespace hcpp::core {
 namespace {
 constexpr const char* kLabel = "phi-retrieval";
 
-std::vector<sse::PlainFile> decrypt_response(const sse::Keys& keys,
-                                             const RetrieveResponse& resp) {
-  std::vector<sse::PlainFile> out;
-  for (const auto& [id, blob] : resp.files) {
-    try {
-      out.push_back(sse::decrypt_file(keys, blob));
-    } catch (const std::exception&) {
-      // Tampered blob: skip it rather than abort the treatment flow.
-    }
-  }
-  return out;
-}
-
 /// One transport-routed retrieval round against one server.
 Result<std::vector<sse::PlainFile>> send_retrieve(sim::Network& net,
                                                   const std::string& from,
@@ -55,7 +42,7 @@ Result<std::vector<sse::PlainFile>> send_retrieve(sim::Network& net,
     return permanent_error(ErrorCode::kBadResponse, out.attempts,
                            "response failed authentication");
   }
-  return decrypt_response(keys, resp);
+  return decrypt_files(keys, resp);
 }
 }  // namespace
 
@@ -165,7 +152,7 @@ std::vector<sse::PlainFile> Patient::retrieve_anonymous(
     return {};
   }
   if (!protocol_mac_ok(nu, kLabel, resp.body(), resp.t, resp.mac)) return {};
-  return decrypt_response(keys_, resp);
+  return decrypt_files(keys_, resp);
 }
 
 std::optional<RetrieveResponse> SServer::handle_retrieve(

@@ -93,6 +93,10 @@ mp::U512 hash_to_scalar(const CurveCtx& ctx, BytesView msg,
 /// Serialization: 1 flag byte + two 64-byte coordinates (infinity: 1 byte).
 Bytes point_to_bytes(const Point& pt);
 Point point_from_bytes(const CurveCtx& ctx, BytesView b);
+/// point_to_bytes(pt).size(), without serializing.
+inline size_t point_encoded_size(const Point& pt) {
+  return pt.infinity ? 1 : 1 + 2 * 64;
+}
 
 /// Compressed serialization: 1 flag byte (2 | y-parity) + 64-byte x; the
 /// decoder recovers y via the curve equation (p ≡ 3 mod 4 square root).

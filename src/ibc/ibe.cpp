@@ -149,7 +149,10 @@ IbeCcaCiphertext IbeCcaCiphertext::from_bytes(const curve::CurveCtx& ctx,
   return ct;
 }
 
-size_t IbeCcaCiphertext::size() const { return to_bytes().size(); }
+size_t IbeCcaCiphertext::size() const {
+  // Mirrors to_bytes(): three u32-length-prefixed fields.
+  return (4 + curve::point_encoded_size(u)) + (4 + v.size()) + (4 + w.size());
+}
 
 Bytes IbeCiphertext::to_bytes() const {
   io::Writer w;
@@ -167,6 +170,9 @@ IbeCiphertext IbeCiphertext::from_bytes(const curve::CurveCtx& ctx,
   return ct;
 }
 
-size_t IbeCiphertext::size() const { return to_bytes().size(); }
+size_t IbeCiphertext::size() const {
+  // Mirrors to_bytes(): two u32-length-prefixed fields.
+  return (4 + curve::point_encoded_size(u)) + (4 + box.size());
+}
 
 }  // namespace hcpp::ibc

@@ -49,6 +49,24 @@ bool ibs_verify(const PublicParams& pub, std::string_view id,
   return challenge(ctx, message, u) == sig.v;
 }
 
+IbsSigner::IbsSigner(const curve::CurveCtx& ctx,
+                     const curve::Point& private_key, std::string_view id)
+    : ctx_(&ctx),
+      private_key_(private_key),
+      q_id_(Domain::public_key(ctx, id)),
+      g_id_(curve::generator_precomp(ctx).pairing_with(q_id_)) {}
+
+IbsSignature IbsSigner::sign(BytesView message, RandomSource& rng) const {
+  // Same draws and arithmetic as ibs_sign, with u = ê(H1(ID), P)^k taken
+  // from the cached base.
+  mp::U512 k = curve::random_scalar(*ctx_, rng);
+  IbsSignature sig;
+  sig.v = challenge(*ctx_, message, g_id_.pow(k));
+  sig.w = curve::add(*ctx_, curve::mul(*ctx_, private_key_, sig.v),
+                     curve::mul(*ctx_, q_id_, k));
+  return sig;
+}
+
 IbsVerifier::IbsVerifier(const PublicParams& pub, std::string_view id)
     : ctx_(pub.ctx),
       id_(id),
@@ -133,6 +151,10 @@ IbsSignature IbsSignature::from_bytes(const curve::CurveCtx& ctx,
   return sig;
 }
 
-size_t IbsSignature::size() const { return to_bytes().size(); }
+size_t IbsSignature::size() const {
+  // Mirrors to_bytes(): the raw 64-byte v, then the u32-length-prefixed
+  // point encoding.
+  return 64 + 4 + curve::point_encoded_size(w);
+}
 
 }  // namespace hcpp::ibc

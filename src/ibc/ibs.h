@@ -39,6 +39,25 @@ mp::U512 ibs_challenge(const curve::CurveCtx& ctx, BytesView message,
 bool ibs_verify(const PublicParams& pub, std::string_view id,
                 BytesView message, const IbsSignature& sig);
 
+/// Precomputed signing context for a fixed signer: hoists H1(ID) and
+/// ê(H1(ID), P), so each signature costs one Gt exponentiation and two point
+/// multiplications — no hash-to-point, no pairing. sign() consumes the same
+/// randomness as ibs_sign and returns the same signature for the same DRBG
+/// stream; ibs_sign stays as its differential oracle.
+class IbsSigner {
+ public:
+  IbsSigner(const curve::CurveCtx& ctx, const curve::Point& private_key,
+            std::string_view id);
+
+  [[nodiscard]] IbsSignature sign(BytesView message, RandomSource& rng) const;
+
+ private:
+  const curve::CurveCtx* ctx_;
+  curve::Point private_key_;  // Γ = s0·H1(ID)
+  curve::Point q_id_;         // H1(ID)
+  curve::Gt g_id_;            // ê(H1(ID), P)
+};
+
 /// Precomputed verification context for a fixed signer identity: hoists
 /// ê(H1(ID), Ppub) so each verification costs a single pairing — the
 /// "two pairings with precomputation" budget §V.B.3 assigns to the P-device
@@ -48,6 +67,12 @@ class IbsVerifier {
   IbsVerifier(const PublicParams& pub, std::string_view id);
 
   [[nodiscard]] bool verify(BytesView message, const IbsSignature& sig) const;
+
+  [[nodiscard]] const curve::CurveCtx& ctx() const noexcept { return *ctx_; }
+  /// H1(ID), for callers that derive other keys against the same identity.
+  [[nodiscard]] const curve::Point& q_id() const noexcept { return q_id_; }
+  /// ê(H1(ID), Ppub), for the cross-request coalescer (core/coalesce.h).
+  [[nodiscard]] const curve::Gt& g_id() const noexcept { return g_id_; }
 
  private:
   const curve::CurveCtx* ctx_;

@@ -159,6 +159,10 @@ inline constexpr const char* kSGroupMirrorWrites =
 inline constexpr const char* kSGroupSync = "cluster.sserver.sync";
 inline constexpr const char* kAClusterFailover = "cluster.aserver.failover";
 
+// Client-side retrieval (core::decrypt_files): returned file blobs that
+// failed authenticated decryption and were left out of the result.
+inline constexpr const char* kRetrieveBlobsSkipped = "retrieve.blobs_skipped";
+
 // ---------------------------------------------------------------------------
 /// Exported view of one histogram: enough to print, diff, and re-import.
 struct HistogramSummary {

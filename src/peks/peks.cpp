@@ -187,8 +187,8 @@ size_t PeksCiphertext::size() const {
   // Mirrors to_bytes() arithmetically: u8 variant, then three u32-length-
   // prefixed fields — the 129-byte point encoding (1 byte if at infinity),
   // the tag and the kRandomized check value.
-  const size_t point_len = a.infinity ? 1 : 1 + 2 * 64;
-  return 1 + (4 + point_len) + (4 + b.size()) + (4 + check.size());
+  return 1 + (4 + curve::point_encoded_size(a)) + (4 + b.size()) +
+         (4 + check.size());
 }
 
 PeksCiphertext PeksEncryptor::encrypt(std::string_view role_id,

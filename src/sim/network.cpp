@@ -158,25 +158,32 @@ bool Network::accept_fresh(const std::string& receiver, BytesView tag,
   uint64_t lo = (now > window_ns) ? now - window_ns : 0;
   uint64_t hi = now + window_ns;
 
-  auto& cache = replay_seen_[receiver];
+  ReplayCache& cache = replay_seen_[receiver];
   // Prune tags that could no longer pass the freshness check anyway: any
   // replay carrying their (MAC-covered) timestamp is rejected as stale.
-  std::erase_if(cache, [lo](const auto& kv) { return kv.second < lo; });
+  auto stale_end = cache.by_time.lower_bound(lo);
+  for (auto it = cache.by_time.begin(); it != stale_end; ++it) {
+    cache.by_tag.erase(it->second);
+  }
+  cache.by_time.erase(cache.by_time.begin(), stale_end);
 
   if (timestamp_ns < lo || timestamp_ns > hi) {
     obs::count(obs::kNetReplayRejected);
     return false;
   }
   Bytes key(tag.begin(), tag.end());
-  auto [pos, inserted] = cache.try_emplace(std::move(key), timestamp_ns);
-  (void)pos;
-  if (!inserted) obs::count(obs::kNetReplayRejected);
-  return inserted;
+  auto [pos, inserted] = cache.by_tag.try_emplace(std::move(key), timestamp_ns);
+  if (!inserted) {
+    obs::count(obs::kNetReplayRejected);
+    return false;
+  }
+  cache.by_time.emplace(timestamp_ns, pos);
+  return true;
 }
 
 size_t Network::replay_cache_size(const std::string& receiver) const {
   auto it = replay_seen_.find(receiver);
-  return it == replay_seen_.end() ? 0 : it->second.size();
+  return it == replay_seen_.end() ? 0 : it->second.by_tag.size();
 }
 
 }  // namespace hcpp::sim

@@ -145,7 +145,9 @@ class Network {
   /// this receiver. Tags whose timestamps have aged out of the freshness
   /// window are pruned — a replay of such an old message is already
   /// rejected by the freshness check, so the cache stays bounded by the
-  /// traffic of one window rather than growing forever.
+  /// traffic of one window rather than growing forever. Pruning walks a
+  /// timestamp-ordered index from its oldest end, so it costs O(expired
+  /// tags), not O(cache), per message.
   bool accept_fresh(const std::string& receiver, BytesView tag,
                     uint64_t timestamp_ns, uint64_t window_ns);
 
@@ -166,7 +168,13 @@ class Network {
   std::map<std::pair<std::string, std::string>, LinkModel> links_;
   std::map<std::string, TrafficStats> per_protocol_;
   TrafficStats total_;
-  std::map<std::string, std::map<Bytes, uint64_t>> replay_seen_;
+  /// One receiver's live tags, plus the same entries ordered by message
+  /// timestamp so the aged-out prefix can be cut without a full scan.
+  struct ReplayCache {
+    std::map<Bytes, uint64_t> by_tag;
+    std::multimap<uint64_t, std::map<Bytes, uint64_t>::iterator> by_time;
+  };
+  std::map<std::string, ReplayCache> replay_seen_;
   std::unique_ptr<FaultPlan> plan_;
   std::vector<PartitionWindow> dynamic_partitions_;
   cipher::Drbg fault_rng_;

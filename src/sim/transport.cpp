@@ -15,15 +15,18 @@ void Transport::reset_stats() {
 void Transport::reset_idempotency_cache() {
   idem_.clear();
   idem_order_.clear();
+  idem_bytes_ = 0;
 }
 
 void Transport::remember(const IdemKey& key, CacheEntry entry) {
-  auto [it, inserted] = idem_.emplace(key, std::move(entry));
-  (void)it;
-  if (!inserted) return;
+  const size_t bytes = entry.bytes;
+  if (!idem_.emplace(key, std::move(entry)).second) return;
   idem_order_.push_back(key);
-  while (idem_order_.size() > kMaxIdemEntries) {
-    idem_.erase(idem_order_.front());
+  idem_bytes_ += bytes;
+  while (idem_bytes_ > kIdemBudgetBytes && idem_order_.size() > 1) {
+    auto oldest = idem_.find(idem_order_.front());
+    idem_bytes_ -= oldest->second.bytes;
+    idem_.erase(oldest);
     idem_order_.pop_front();
   }
 }

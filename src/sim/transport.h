@@ -13,7 +13,9 @@
 // re-executing the handler, so server-side effects happen exactly once even
 // though the wire saw the request several times. This complements the
 // receiver replay cache (network.h), which would otherwise make honest
-// retries indistinguishable from attacks.
+// retries indistinguishable from attacks. The cache is bounded by a byte
+// budget (kIdemBudgetBytes), oldest entry evicted first; the entry of the
+// exchange in progress is never evicted, however large.
 //
 // Everything is deterministic: the same fault-plan seed replays the same
 // verdicts, the same backoff jitter, and therefore the same per-protocol
@@ -88,6 +90,14 @@ class Transport {
   /// Forgets cached responses (fresh server state between scenarios).
   void reset_idempotency_cache();
 
+  /// Byte budget of the idempotency cache. Each entry is charged its
+  /// response's wire size (response_size) plus its key bytes.
+  static constexpr size_t kIdemBudgetBytes = 256 * 1024;
+  /// Bytes currently charged to the idempotency cache.
+  [[nodiscard]] size_t idempotency_cache_bytes() const noexcept {
+    return idem_bytes_;
+  }
+
   /// One request/response exchange with retries. `handler` is the in-process
   /// server endpoint: it returns the typed response, or nullopt for an
   /// authoritative rejection (no retry). `response_size` prices the response
@@ -142,7 +152,11 @@ class Transport {
       } else {
         resp = handler();
         CacheEntry entry;
-        if (resp.has_value()) entry.executed = std::make_shared<Resp>(*resp);
+        entry.bytes = key.first.size() + key.second.size();
+        if (resp.has_value()) {
+          entry.executed = std::make_shared<Resp>(*resp);
+          entry.bytes += response_size(*resp);
+        }
         remember(key, std::move(entry));
       }
       if (req_leg == Delivery::kDuplicated) {
@@ -185,16 +199,16 @@ class Transport {
   using IdemKey = std::pair<std::string, Bytes>;
   struct CacheEntry {
     std::shared_ptr<void> executed;  // typed response; nullptr = rejection
+    size_t bytes = 0;                // charged against kIdemBudgetBytes
   };
-
-  /// Oldest-first eviction keeps the cache bounded: an entry only matters
-  /// for the retry window of its own exchange, never forever.
-  static constexpr size_t kMaxIdemEntries = 4096;
 
   /// Advances one DeliveryStats field (per-protocol + total) and mirrors it
   /// into the attached registry under `metric`.
   void bump(DeliveryStats& ps, uint64_t DeliveryStats::* field,
             const char* metric);
+  /// Inserts the entry of the exchange in progress, then evicts oldest
+  /// first until the cache fits its budget again or only that entry is left:
+  /// an entry only matters for the retry window of its own exchange.
   void remember(const IdemKey& key, CacheEntry entry);
 
   Network* net_;
@@ -203,6 +217,7 @@ class Transport {
   DeliveryStats total_;
   std::map<IdemKey, CacheEntry> idem_;
   std::deque<IdemKey> idem_order_;
+  size_t idem_bytes_ = 0;
 };
 
 }  // namespace hcpp::sim

@@ -102,7 +102,7 @@ TEST(CoalesceIbs, MatchesIbsVerifyOnMixedBatch) {
   };
   std::vector<Item> items;
   for (int i = 0; i < 6; ++i) {
-    // Two signers alternating, so the H1(ID) cache sees repeats.
+    // Two signers alternating: the cold form hashes each one every time.
     std::string id = (i % 2 == 0) ? "dr-even" : "dr-odd";
     Bytes msg = to_bytes("message-" + std::to_string(i));
     ibc::IbsSignature sig =
@@ -137,6 +137,64 @@ TEST(CoalesceIbs, MatchesIbsVerifyOnMixedBatch) {
   // Every non-malformed signature fused its two pairings into one product;
   // items 3 and 4 are rejected without pairing work.
   EXPECT_EQ(got.pairings_saved, items.size() - 2);
+}
+
+TEST(CoalesceIbs, PrecomputedVerifierFormMatchesIbsVerify) {
+  // The verifier-backed form (ê(W, P) only, times the cached
+  // ê(H1(ID), Ppub)^{−v}) mixed with cold entries in one drain, serial and
+  // pooled, against the ibs_verify oracle.
+  Deployment d = Deployment::create(small_config(24));
+  const ibc::PublicParams& pub = d.aserver->pub();
+  const curve::CurveCtx& ctx = *pub.ctx;
+  cipher::Drbg rng = test_rng("coalesce-verifier");
+  ibc::IbsVerifier dr_a(pub, "dr-a");
+
+  struct Item {
+    std::string id;
+    Bytes message;
+    ibc::IbsSignature sig;
+    bool cached;  // queue through dr_a's verifier
+  };
+  std::vector<Item> items;
+  for (int i = 0; i < 4; ++i) {
+    Bytes msg = to_bytes("auth-" + std::to_string(i));
+    items.push_back({"dr-a", msg,
+                     ibc::ibs_sign(ctx, d.aserver->provision("dr-a"), "dr-a",
+                                   msg, rng),
+                     i != 3});
+  }
+  items[1].message.push_back(0x42);  // wrong message
+  items[2].sig.w = curve::add(ctx, items[2].sig.w, curve::generator(ctx));
+  {
+    Bytes msg = to_bytes("auth-by-b");
+    // Signed by dr-b, checked against dr-a's verifier: wrong identity.
+    items.push_back({"dr-a", msg,
+                     ibc::ibs_sign(ctx, d.aserver->provision("dr-b"), "dr-b",
+                                   msg, rng),
+                     true});
+  }
+
+  par::ThreadPool pool(2, "test-coalesce-verifier");
+  for (par::ThreadPool* p : {static_cast<par::ThreadPool*>(nullptr), &pool}) {
+    PairingCoalescer co(pub);
+    for (const Item& it : items) {
+      if (it.cached) {
+        co.add_ibs_verify(dr_a, it.message, it.sig);
+      } else {
+        co.add_ibs_verify(it.id, it.message, it.sig);
+      }
+    }
+    PairingCoalescer::Drained got = co.drain(p);
+    ASSERT_EQ(got.ibs_ok.size(), items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(got.ibs_ok[i] != 0,
+                ibc::ibs_verify(pub, items[i].id, items[i].message,
+                                items[i].sig))
+          << "item " << i << (p != nullptr ? " pooled" : " serial");
+    }
+    EXPECT_EQ(got.ibs_ok[0], 1);
+    EXPECT_EQ(got.ibs_ok[3], 1);
+  }
 }
 
 TEST(CoalesceIbs, PooledDrainMatchesSerialAndKeysMix) {

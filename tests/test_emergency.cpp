@@ -7,6 +7,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/setup.h"
+#include "src/obs/metrics.h"
 #include "src/sim/transport.h"
 
 namespace hcpp::core {
@@ -255,6 +256,132 @@ TEST(PDeviceEmergency, FailOpenWhenFamilyAbsent) {
   std::vector<sse::PlainFile> got =
       d.pdevice->emergency_retrieve(*d.sserver, all);
   EXPECT_EQ(got.size(), d.patient->files().size());
+}
+
+// ---- Per-identity precomputation: noise-free op-count gate ---------------
+
+/// One full P-device incident: button, passcode, delivery, entry, retrieval.
+bool pdevice_incident(Deployment& d, Physician& dr) {
+  d.pdevice->press_emergency_button();
+  auto pass = dr.request_passcode(*d.aserver, d.patient->tp_bytes());
+  if (!pass.has_value() ||
+      !d.pdevice->deliver_passcode(*d.aserver, pass->for_device) ||
+      !d.pdevice->enter_passcode(dr.id(), pass->nonce)) {
+    return false;
+  }
+  std::vector<std::string> kws = {d.all_keywords().front()};
+  return !d.pdevice->emergency_retrieve(*d.sserver, kws).empty();
+}
+
+uint64_t all_pairings(const obs::Registry& reg) {
+  return reg.counter(obs::kPairing) + reg.counter(obs::kPairingFixed) +
+         reg.counter(obs::kPairingProductTerms);
+}
+
+TEST(EmergencyPrecomp, WarmIncidentCostsSevenPairingsNoHashToPoint) {
+  // §V.B.3 budget: once every party holds its per-identity state, an
+  // incident pays 3 fixed ê(W, P) verifications, the passcode IBE encrypt
+  // and decrypt, and the two ν derivations at the S-server — and hashes no
+  // identity to a point.
+  Deployment d = Deployment::create(small_config(21));
+  Physician second(*d.net, *d.aserver, "dr-second");
+  d.aserver->set_on_duty(second.id(), true);
+  Physician* doctors[] = {d.on_duty.get(), &second};
+  for (Physician* dr : doctors) ASSERT_TRUE(pdevice_incident(d, *dr));
+
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  for (Physician* dr : doctors) {
+    const uint64_t pairings = all_pairings(reg);
+    const uint64_t h2p = reg.counter(obs::kHashToPoint);
+    EXPECT_TRUE(pdevice_incident(d, *dr)) << dr->id();
+    EXPECT_EQ(all_pairings(reg) - pairings, 7u) << dr->id();
+    EXPECT_EQ(reg.counter(obs::kHashToPoint) - h2p, 0u) << dr->id();
+  }
+  obs::attach(previous);
+}
+
+TEST(EmergencyPrecomp, UnregisteredPhysicianIdsAddNoCacheEntries) {
+  Deployment d = Deployment::create(small_config(22));
+  ASSERT_TRUE(pdevice_incident(d, *d.on_duty));
+  const size_t cached = d.aserver->physician_cache_size();
+  EXPECT_EQ(cached, 1u);
+  cipher::Drbg rng(to_bytes("unregistered-ids"));
+  std::vector<EmergencyAuthRequest> batch;
+  for (int i = 0; i < 100; ++i) {
+    // Validly signed by an enrolled identity that is not on duty: the cold
+    // path verifies it and the on-duty check refuses it.
+    std::string id = "dr-stranger-" + std::to_string(i);
+    EmergencyAuthRequest req;
+    req.physician_id = id;
+    req.tp = d.patient->tp_bytes();
+    req.t = d.net->clock().now() + static_cast<uint64_t>(i);
+    req.sig = ibc::ibs_sign(d.aserver->ctx(), d.aserver->provision(id), id,
+                            req.body(), rng)
+                  .to_bytes();
+    if (i % 2 == 0) {
+      EXPECT_FALSE(d.aserver->handle_emergency_auth(req).has_value());
+    } else {
+      batch.push_back(std::move(req));
+    }
+  }
+  for (const auto& out : d.aserver->handle_emergency_auth_batch(batch)) {
+    EXPECT_FALSE(out.has_value());
+  }
+  EXPECT_EQ(d.aserver->physician_cache_size(), cached);
+  // Going off duty drops the entry; the physician is then refused.
+  d.aserver->set_on_duty(d.on_duty->id(), false);
+  EXPECT_EQ(d.aserver->physician_cache_size(), 0u);
+  EXPECT_FALSE(pdevice_incident(d, *d.on_duty));
+  EXPECT_EQ(d.aserver->physician_cache_size(), 0u);
+}
+
+// ---- Tampered blobs are skipped, and counted -------------------------------
+
+/// Flips one byte in the middle of the stored blob of `file` by round-tripping
+/// the S-server's durable state.
+void tamper_stored_blob(Deployment& d, sse::FileId file) {
+  auto snaps = d.sserver->snapshot_accounts();
+  const AccountSnapshot& snap = snaps.at(
+      SServer::account_key(d.patient->tp_bytes(), d.patient->collection()));
+  const Bytes& blob = snap.files->files.at(file);
+  Bytes state = d.sserver->export_state();
+  auto at = std::search(state.begin(), state.end(), blob.begin(), blob.end());
+  ASSERT_NE(at, state.end());
+  at[static_cast<std::ptrdiff_t>(blob.size() / 2)] ^= 0x01;
+  ASSERT_TRUE(d.sserver->import_state(state));
+}
+
+std::vector<sse::FileId> sorted_ids(const std::vector<sse::PlainFile>& files) {
+  std::vector<sse::FileId> ids;
+  for (const sse::PlainFile& f : files) ids.push_back(f.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(TamperedBlob, RetrievalSkipsAndCountsIt) {
+  Deployment d = Deployment::create(small_config(23));
+  const KeywordIndex& ki = d.patient->keyword_index();
+  auto entry = std::find_if(ki.entries.begin(), ki.entries.end(),
+                            [](const auto& e) { return e.second.size() >= 2; });
+  ASSERT_NE(entry, ki.entries.end());
+  const std::vector<sse::FileId>& ids = entry->second;
+  tamper_stored_blob(d, ids.front());
+
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  std::vector<std::string> kws = {entry->first};
+  std::vector<sse::FileId> want(ids.begin() + 1, ids.end());
+  std::sort(want.begin(), want.end());
+  // Family path (§IV.E.1 privileged retrieval).
+  EXPECT_EQ(sorted_ids(d.family->emergency_retrieve(*d.sserver, kws)), want);
+  EXPECT_EQ(reg.counter(obs::kRetrieveBlobsSkipped), 1u);
+  // Owner path (§IV.D) goes through the same decryption helper.
+  EXPECT_EQ(sorted_ids(d.patient->retrieve(*d.sserver, kws)), want);
+  EXPECT_EQ(reg.counter(obs::kRetrieveBlobsSkipped), 2u);
+  obs::attach(previous);
 }
 
 }  // namespace

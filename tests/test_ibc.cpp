@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cipher/drbg.h"
+#include "src/curve/params.h"
 #include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
 #include "src/par/pool.h"
@@ -208,6 +209,89 @@ TEST(IbsPrecomp, VerifierMatchesPlainVerify) {
   IbsSignature other =
       ibs_sign(ctx(), d.extract("dr-b"), "dr-b", msg, rng);
   EXPECT_FALSE(verifier.verify(msg, other));
+}
+
+// IbsSigner against its oracle ibs_sign: the same DRBG stream must give the
+// same signature bytes, at both parameter sets (the production set has a
+// different cofactor and field width, so a shortcut valid only for one
+// would show).
+class IbsSignerOracle : public ::testing::TestWithParam<curve::ParamSet> {};
+
+TEST_P(IbsSignerOracle, SignMatchesIbsSignByteForByte) {
+  const curve::CurveCtx& c = curve::params(GetParam());
+  cipher::Drbg boot(to_bytes("signer-oracle-domain"));
+  Domain d(c, boot);
+  const curve::Point gamma = d.extract("dr-signer");
+  IbsSigner signer(c, gamma, "dr-signer");
+  cipher::Drbg rng_a(to_bytes("signer-oracle-rng"));
+  cipher::Drbg rng_b(to_bytes("signer-oracle-rng"));
+  for (int i = 0; i < 3; ++i) {
+    Bytes msg = to_bytes("message-" + std::to_string(i));
+    IbsSignature fast = signer.sign(msg, rng_a);
+    IbsSignature cold = ibs_sign(c, gamma, "dr-signer", msg, rng_b);
+    EXPECT_EQ(fast.to_bytes(), cold.to_bytes()) << i;
+    EXPECT_TRUE(ibs_verify(d.pub(), "dr-signer", msg, fast)) << i;
+  }
+  // Both streams advanced identically.
+  EXPECT_EQ(rng_a.bytes(16), rng_b.bytes(16));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothParamSets, IbsSignerOracle,
+                         ::testing::Values(curve::ParamSet::kTest,
+                                           curve::ParamSet::kProduction));
+
+TEST(IbsPrecomp, CachedVerifierVerdictsMatchIbsVerify) {
+  Domain d = make_domain("ibs-verdicts");
+  cipher::Drbg rng(to_bytes("ibs-verdicts-rng"));
+  IbsVerifier verifier(d.pub(), "dr-a");
+  const Bytes msg = to_bytes("emergency-auth body");
+  const IbsSignature valid =
+      ibs_sign(ctx(), d.extract("dr-a"), "dr-a", msg, rng);
+  IbsSignature mutated_w = valid;
+  mutated_w.w = curve::add(ctx(), valid.w, curve::generator(ctx()));
+  struct Case {
+    const char* name;
+    Bytes message;
+    IbsSignature sig;
+  };
+  const Case cases[] = {
+      {"valid", msg, valid},
+      {"wrong message", to_bytes("another body"), valid},
+      {"wrong id", msg, ibs_sign(ctx(), d.extract("dr-b"), "dr-b", msg, rng)},
+      {"mutated W", msg, mutated_w},
+      {"W at infinity", msg, IbsSignature{valid.v, curve::Point{}}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(verifier.verify(c.message, c.sig),
+              ibs_verify(d.pub(), "dr-a", c.message, c.sig))
+        << c.name;
+  }
+  EXPECT_TRUE(verifier.verify(msg, valid));
+}
+
+// size() is computed arithmetically; it must equal the serialized length,
+// including the 1-byte encoding of the point at infinity.
+TEST(WireSize, ArithmeticSizesMatchSerialization) {
+  Domain d = make_domain("wire-size");
+  cipher::Drbg rng(to_bytes("wire-size-rng"));
+  IbsSignature sig =
+      ibs_sign(ctx(), d.extract("dr-a"), "dr-a", to_bytes("m"), rng);
+  EXPECT_EQ(sig.size(), sig.to_bytes().size());
+  sig.w = curve::Point{};
+  EXPECT_EQ(sig.size(), sig.to_bytes().size());
+
+  for (size_t len : {0u, 1u, 37u, 512u}) {
+    Bytes pt(len, 0x5a);
+    IbeCiphertext ct = ibe_encrypt(d.pub(), "id", pt, rng);
+    EXPECT_EQ(ct.size(), ct.to_bytes().size()) << len;
+    ct.u = curve::Point{};
+    EXPECT_EQ(ct.size(), ct.to_bytes().size()) << len;
+
+    IbeCcaCiphertext cca = ibe_encrypt_cca(d.pub(), "id", pt, rng);
+    EXPECT_EQ(cca.size(), cca.to_bytes().size()) << len;
+    cca.u = curve::Point{};
+    EXPECT_EQ(cca.size(), cca.to_bytes().size()) << len;
+  }
 }
 
 TEST(Ibs, SignVerify) {

@@ -3,6 +3,9 @@
 // driven by seeded DRBGs, so assertions are exact, not statistical.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "src/cipher/drbg.h"
 #include "src/core/errors.h"
 #include "src/sim/network.h"
 #include "src/sim/transport.h"
@@ -197,6 +200,57 @@ TEST(Transport, IdempotencyCacheEvictsOldestEntries) {
   EXPECT_EQ(executions, 2);
 }
 
+TEST(Transport, IdempotencyCacheStaysWithinByteBudget) {
+  // Many 5 KB responses: the cache is charged wire bytes plus key bytes and
+  // never holds more than its budget once an older entry can be evicted.
+  Network net;
+  Transport& t = net.transport();
+  int executions = 0;
+  for (int i = 0; i < 400; ++i) {
+    (void)ping(t, "big-" + std::to_string(i), &executions, 5 * 1024);
+    EXPECT_LE(t.idempotency_cache_bytes(), Transport::kIdemBudgetBytes) << i;
+  }
+  EXPECT_EQ(executions, 400);
+  EXPECT_GT(t.idempotency_cache_bytes(), Transport::kIdemBudgetBytes / 2);
+  // Recent keys are still answered from the cache; the oldest re-execute.
+  (void)ping(t, "big-399", &executions, 5 * 1024);
+  EXPECT_EQ(executions, 400);
+  (void)ping(t, "big-0", &executions, 5 * 1024);
+  EXPECT_EQ(executions, 401);
+  t.reset_idempotency_cache();
+  EXPECT_EQ(t.idempotency_cache_bytes(), 0u);
+}
+
+TEST(Transport, OversizedInFlightEntryStillAnswersRetries) {
+  // A response larger than the whole budget is never evicted while its own
+  // exchange retries: the lost response legs are answered from the cache.
+  Network net;
+  FaultPlan plan;
+  plan.per_link[{"client", "server"}] = LinkFaults{};
+  plan.per_link[{"server", "client"}] = LinkFaults{.drop = 0.5};
+  net.set_fault_plan(plan);
+  Transport& t = net.transport();
+  int filler = 0;
+  for (int i = 0; i < 8; ++i) {
+    (void)ping(t, "small-" + std::to_string(i), &filler, 5 * 1024);
+  }
+  int executions = 0;
+  const size_t huge = 2 * Transport::kIdemBudgetBytes;
+  int retried = 0;
+  for (int i = 0; i < 16; ++i) {
+    CallOutcome<int> out =
+        ping(t, "huge-" + std::to_string(i), &executions, huge);
+    EXPECT_TRUE(out.ok()) << i;
+    EXPECT_EQ(executions, i + 1) << i;  // one execution per key, retries or not
+    retried += out.attempts > 1 ? 1 : 0;
+  }
+  EXPECT_GT(retried, 0);  // the seeded plan did drop some response legs
+  EXPECT_GT(t.stats("ping").responses_lost, 0u);
+  // Only the latest oversized entry is left.
+  EXPECT_EQ(t.idempotency_cache_bytes(),
+            huge + std::string("server").size() + std::string("huge-15").size());
+}
+
 // ---- Fault-plan verdicts on the raw network ---------------------------------
 
 TEST(FaultPlan, PartitionWindowDropsBothDirections) {
@@ -286,6 +340,37 @@ TEST(ReplayCache, CacheStaysBoundedUnderSteadyTraffic) {
   // (2x window: tags stay valid for ±window around their timestamp).
   EXPECT_LE(peak, 250u);
   EXPECT_LT(net.replay_cache_size("s"), 2000u);
+}
+
+TEST(ReplayCache, IndexMatchesEraseAllModelOnOutOfOrderTimestamps) {
+  // Differential check of the timestamp-ordered pruning index against the
+  // original model: one tag map, erase every aged-out entry on each call.
+  Network net;
+  std::map<Bytes, uint64_t> model;
+  auto model_accept = [&](const Bytes& tag, uint64_t ts, uint64_t window) {
+    const uint64_t now = net.clock().now();
+    const uint64_t lo = now > window ? now - window : 0;
+    std::erase_if(model, [lo](const auto& kv) { return kv.second < lo; });
+    if (ts < lo || ts > now + window) return false;
+    return model.try_emplace(tag, ts).second;
+  };
+  cipher::Drbg rng(to_bytes("replay-index-differential"));
+  constexpr uint64_t kWindow = 500'000'000;  // 0.5 s
+  for (int i = 0; i < 5000; ++i) {
+    // Timestamps scatter up to 1.5 windows either side of now (so some are
+    // stale or future on arrival); tags repeat often enough to exercise
+    // replays of live and of pruned entries.
+    const uint64_t now = net.clock().now();
+    const uint64_t spread = rng.u64() % (3 * kWindow);
+    const uint64_t ts = now + spread > 3 * kWindow / 2
+                            ? now + spread - 3 * kWindow / 2
+                            : 0;
+    const Bytes tag = to_bytes("t-" + std::to_string(rng.u64() % 700));
+    const bool want = model_accept(tag, ts, kWindow);
+    ASSERT_EQ(net.accept_fresh("s", tag, ts, kWindow), want) << i;
+    ASSERT_EQ(net.replay_cache_size("s"), model.size()) << i;
+    net.clock().advance(rng.u64() % 2'000'000);
+  }
 }
 
 // ---- Error taxonomy ---------------------------------------------------------
