@@ -37,13 +37,6 @@ void AServerCluster::set_on_duty(const std::string& physician_id,
   for (auto& replica : replicas_) replica->set_on_duty(physician_id, on_duty);
 }
 
-AServer* AServerCluster::first_available() {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (up_[i]) return replicas_[i].get();
-  }
-  return nullptr;
-}
-
 std::vector<TraceRecord> AServerCluster::all_traces() const {
   std::vector<TraceRecord> out;
   for (const auto& replica : replicas_) {

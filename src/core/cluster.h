@@ -18,12 +18,37 @@
 //     a write/republish on one shard never touches the others. Clients
 //     route to the owner (shard_for) instead of fanning out; there is no
 //     failover target, so an unreachable shard is a transient error.
+//
+// Both placements are decided in one place each: SServerGroup::write for
+// STORE/UPDATE/COMPACT/REVOKE and SServerGroup::read for the owner and
+// privileged retrievals. fail_over is the in-order walk that reads and the
+// A-server offices share.
 #pragma once
+
+#include <type_traits>
 
 #include "src/core/entities.h"
 #include "src/ledger/anchor.h"
+#include "src/obs/metrics.h"
 
 namespace hcpp::core {
+
+/// §VI.D failover: tries replicas 0..n-1 in order through `attempt(i)`. A
+/// transient error moves on to the next replica and counts under `metric`;
+/// success or a permanent error ends the walk. When every replica failed
+/// transiently the result is kUnreachable with all their attempts.
+template <typename Attempt>
+auto fail_over(size_t n, const char* metric, const char* detail,
+               Attempt&& attempt) -> std::invoke_result_t<Attempt&, size_t> {
+  uint32_t attempts = 0;
+  for (size_t i = 0; i < n; ++i) {
+    auto r = attempt(i);
+    if (r.ok() || !r.error().transient()) return r;
+    attempts += r.error().attempts;
+    obs::count(metric);
+  }
+  return transient_error(ErrorCode::kUnreachable, attempts, detail);
+}
 
 class AServerCluster {
  public:
@@ -42,13 +67,6 @@ class AServerCluster {
 
   /// Mirrors the published on-duty list to every office.
   void set_on_duty(const std::string& physician_id, bool on_duty);
-
-  /// First reachable office, or nullptr if the attacker downed them all.
-  ///
-  /// DEPRECATED: manual polling predates the retrying transport. Callers
-  /// should let Physician::request_passcode(AServerCluster&, …) fail over
-  /// automatically; this remains only for the legacy path and its test.
-  [[nodiscard]] AServer* first_available();
 
   /// Union of all offices' TR logs (for audits spanning a failover).
   [[nodiscard]] std::vector<TraceRecord> all_traces() const;
@@ -71,8 +89,8 @@ class AServerCluster {
 /// Replicated hospital storage. Every replica holds Γ_S for the shared
 /// `service_id` (clients derive ν against that identity) but keeps its own
 /// instance id ("<service_id>-<i>") for addressing and replay caching.
-/// Writes are mirrored by the client-side fan-out in Patient::store_phi /
-/// revoke_member(SServerGroup&); reads fail over replica-by-replica.
+/// Clients route through write() and read(), which hold the placement
+/// policy.
 class SServerGroup {
  public:
   enum class Placement {
@@ -107,6 +125,53 @@ class SServerGroup {
   /// Simulated outage control, mirrored to the network substrate.
   void set_up(size_t i, bool up);
   [[nodiscard]] bool is_up(size_t i) const { return up_.at(i); }
+
+  /// Write routing. Sharded: `send(owner)` only, returning the owner's own
+  /// error. Replicated: `send` to every replica in order, each applied copy
+  /// counted under kSGroupMirrorWrites. Succeeds with the number of replicas
+  /// that applied the write; fails permanently if any refused and none
+  /// applied, transiently (kUnreachable) if none was reachable.
+  template <typename Send>
+  Result<size_t> write(BytesView tp, Send&& send) {
+    if (sharded()) {
+      Result<void> r = send(shard_for(tp));
+      if (!r.ok()) return r.error();
+      return size_t{1};
+    }
+    size_t applied = 0;
+    bool any_rejected = false;
+    uint32_t attempts = 0;
+    for (size_t i = 0; i < size(); ++i) {
+      Result<void> r = send(replica(i));
+      if (r.ok()) {
+        ++applied;
+        obs::count(obs::kSGroupMirrorWrites);
+      } else {
+        attempts += r.error().attempts;
+        any_rejected |= !r.error().transient();
+      }
+    }
+    if (applied > 0) return applied;
+    if (any_rejected) {
+      return permanent_error(ErrorCode::kRejected, attempts,
+                             "every storage replica refused the write");
+    }
+    return transient_error(ErrorCode::kUnreachable, attempts,
+                           "no storage replica reachable for the write");
+  }
+
+  /// Read routing. Sharded: `fetch(owner)` only — there is no failover
+  /// target, so an owner that is down returns its own transient error, as a
+  /// write does. Replicated: fail_over across the replicas, counted under
+  /// kSGroupFailover.
+  template <typename Fetch>
+  auto read(BytesView tp, Fetch&& fetch)
+      -> std::invoke_result_t<Fetch&, SServer&> {
+    if (sharded()) return fetch(shard_for(tp));
+    return fail_over(size(), obs::kSGroupFailover,
+                     "no storage replica answered the read",
+                     [&](size_t i) { return fetch(replica(i)); });
+  }
 
   /// Recovery: copies the authoritative state (first up replica's export)
   /// onto every other up replica — the catch-up a real mirror would run

@@ -17,15 +17,14 @@
 // deployments (SServerGroup / AServerCluster) fail over to the next office
 // when one times out.
 #include <algorithm>
-#include <set>
 
 #include "src/cipher/aead.h"
 #include "src/core/accountability.h"
+#include "src/core/call.h"
 #include "src/core/cluster.h"
 #include "src/core/coalesce.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
@@ -35,42 +34,31 @@ constexpr const char* kBeLabel = "emergency-be-request";
 constexpr const char* kPrivLabel = kPrivilegedRetrieveLabel;
 constexpr const char* kAuthLabel = "emergency-auth";
 
-/// Messages 1–4 of the family-based approach, shared by Family and PDevice.
-/// Two transport-routed rounds; under no faults this is exactly the paper's
-/// four messages.
+/// Messages 1–4 of the family-based approach against one server, shared by
+/// Family and PDevice. Two transport-routed rounds; under no faults this is
+/// exactly the paper's four messages.
 Result<std::vector<sse::PlainFile>> privileged_retrieve(
     sim::Network& net, const std::string& actor, SServer& server,
     const PrivilegeBundle& pb, std::span<const std::string> keywords) {
   obs::Span span("protocol:privileged_retrieve");
+  Caller caller{net, actor};
   // Round 1 (messages 1–2): fetch the current broadcast-encrypted d.
   BeBlobRequest req1;
   req1.tp = pb.tp;
   req1.collection = pb.collection;
-  req1.t = net.clock().now();
-  req1.mac = protocol_mac(pb.nu, kBeLabel, req1.body(), req1.t);
-  sim::CallOutcome<BeBlobResponse> out1 =
-      net.transport().request<BeBlobResponse>(
-          actor, server.id(), req1.wire_size(), req1.mac, kBeLabel,
-          [&]() { return server.handle_be_request(req1); },
-          [](const BeBlobResponse& r) { return r.wire_size(); });
-  if (out1.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out1.attempts,
-                           "BE-blob request undelivered after retries");
-  }
-  if (out1.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out1.attempts,
-                           "S-server refused the BE-blob request");
-  }
-  const BeBlobResponse& resp1 = *out1.response;
-  if (!protocol_mac_ok(pb.nu, kBeLabel, resp1.body(), resp1.t, resp1.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out1.attempts,
+  stamp(req1, pb.nu, kBeLabel, net.clock().now());
+  Result<BeBlobResponse> resp1 = caller.call(
+      server, &SServer::handle_be_request, req1, kBeLabel, "BE-blob request");
+  if (!resp1.ok()) return resp1.error();
+  if (!mac_ok(resp1.value(), pb.nu, kBeLabel)) {
+    return permanent_error(ErrorCode::kBadResponse, caller.attempts,
                            "BE-blob response failed authentication");
   }
-  std::optional<Bytes> d = be::decrypt(pb.member_keys, resp1.be_blob);
+  std::optional<Bytes> d = be::decrypt(pb.member_keys, resp1.value().be_blob);
   if (!d.has_value()) {
     // Not in the current broadcast cover: this member was revoked. No retry
     // or failover can help — every replica will serve the same BE_{U'}(d).
-    return permanent_error(ErrorCode::kRevoked, out1.attempts,
+    return permanent_error(ErrorCode::kRevoked, caller.attempts,
                            "member keys outside the current BE cover");
   }
 
@@ -98,50 +86,21 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve(
           sse::wrap_trapdoor(*d, gen.make(alias)));
     }
   }
-  req2.t = net.clock().now();
-  req2.mac = protocol_mac(pb.nu, kPrivLabel, req2.body(), req2.t);
-  sim::CallOutcome<RetrieveResponse> out2 =
-      net.transport().request<RetrieveResponse>(
-          actor, server.id(), req2.wire_size(), req2.mac, kPrivLabel,
-          [&]() { return server.handle_privileged_retrieve(req2); },
-          [](const RetrieveResponse& r) { return r.wire_size(); });
-  uint32_t attempts = out1.attempts + out2.attempts;
-  if (out2.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, attempts,
-                           "privileged retrieval undelivered after retries");
-  }
-  if (out2.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "S-server refused the privileged retrieval");
-  }
-  const RetrieveResponse& resp2 = *out2.response;
-  if (!protocol_mac_ok(pb.nu, kPrivLabel, resp2.body(), resp2.t, resp2.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, attempts,
+  stamp(req2, pb.nu, kPrivLabel, net.clock().now());
+  Result<RetrieveResponse> resp2 =
+      caller.call(server, &SServer::handle_privileged_retrieve, req2,
+                  kPrivLabel, "privileged retrieval");
+  if (!resp2.ok()) return resp2.error();
+  if (!mac_ok(resp2.value(), pb.nu, kPrivLabel)) {
+    return permanent_error(ErrorCode::kBadResponse, caller.attempts,
                            "privileged response failed authentication");
   }
-  return decrypt_files(pb.keys, resp2);
+  return decrypt_files(pb.keys, resp2.value());
 }
 
-/// Read failover (§VI.D): the same retrieval tried replica-by-replica;
-/// transient failures (timeouts, partitions, downed offices) move on, while
-/// permanent outcomes — rejection, revocation — end the search immediately.
-Result<std::vector<sse::PlainFile>> privileged_retrieve_failover(
-    sim::Network& net, const std::string& actor, SServerGroup& group,
-    const PrivilegeBundle& pb, std::span<const std::string> keywords) {
-  uint32_t attempts = 0;
-  // Sharded placement routes by the bundle's pseudonym — one owner, one try.
-  const size_t first = group.sharded() ? group.shard_of(pb.tp) : 0;
-  const size_t tries = group.sharded() ? 1 : group.size();
-  for (size_t i = 0; i < tries; ++i) {
-    Result<std::vector<sse::PlainFile>> r =
-        privileged_retrieve(net, actor, group.replica(first + i), pb,
-                            keywords);
-    if (r.ok() || !r.error().transient()) return r;
-    attempts += r.error().attempts;
-    obs::count(obs::kSGroupFailover);
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica answered the emergency");
+ProtocolError no_bundle() {
+  return permanent_error(ErrorCode::kPrecondition, 0,
+                         "family member holds no privilege bundle");
 }
 
 }  // namespace
@@ -151,42 +110,21 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve_failover(
 std::optional<BeBlobResponse> SServer::handle_be_request(
     const BeBlobRequest& req) {
   obs::Span span("sserver:be_request");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!protocol_mac_ok(nu, kBeLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  std::optional<Bytes> nu = authenticate(req, kBeLabel);
+  if (!nu.has_value()) return std::nullopt;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return std::nullopt;
   BeBlobResponse resp;
   resp.be_blob = acct->be_blob;
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, kBeLabel, resp.body(), resp.t);
+  stamp(resp, *nu, kBeLabel, net_->clock().now());
   return resp;
 }
 
 std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     const PrivilegedRetrieveRequest& req) {
   obs::Span span("sserver:privileged_retrieve");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!protocol_mac_ok(nu, kPrivLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  std::optional<Bytes> nu = authenticate(req, kPrivLabel);
+  if (!nu.has_value()) return std::nullopt;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return std::nullopt;
 
@@ -200,8 +138,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, kPrivLabel, resp.body(), resp.t);
+  stamp(resp, *nu, kPrivLabel, net_->clock().now());
   return resp;
 }
 
@@ -209,10 +146,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
 
 Result<std::vector<sse::PlainFile>> Family::try_emergency_retrieve(
     SServer& server, std::span<const std::string> keywords) {
-  if (!bundle_.has_value()) {
-    return permanent_error(ErrorCode::kPrecondition, 0,
-                           "family member holds no privilege bundle");
-  }
+  if (!bundle_.has_value()) return no_bundle();
   return privileged_retrieve(*net_, name_, server, *bundle_, keywords);
 }
 
@@ -223,11 +157,10 @@ std::vector<sse::PlainFile> Family::emergency_retrieve(
 
 Result<std::vector<sse::PlainFile>> Family::emergency_retrieve(
     SServerGroup& group, std::span<const std::string> keywords) {
-  if (!bundle_.has_value()) {
-    return permanent_error(ErrorCode::kPrecondition, 0,
-                           "family member holds no privilege bundle");
-  }
-  return privileged_retrieve_failover(*net_, name_, group, *bundle_, keywords);
+  if (!bundle_.has_value()) return no_bundle();
+  return group.read(bundle_->tp, [&](SServer& s) {
+    return privileged_retrieve(*net_, name_, s, *bundle_, keywords);
+  });
 }
 
 // ---- A-server: emergency authentication (§IV.E.2 steps 1–3) -------------------
@@ -235,18 +168,7 @@ Result<std::vector<sse::PlainFile>> Family::emergency_retrieve(
 std::optional<AServer::EmergencyAuthOutcome> AServer::handle_emergency_auth(
     const EmergencyAuthRequest& req) {
   obs::Span span("aserver:emergency_auth");
-  if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
-  ibc::IbsSignature sig;
-  try {
-    sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!verify_physician(req.physician_id, req.body(), sig)) {
-    return std::nullopt;
-  }
+  if (!authenticate(req)) return std::nullopt;
   return finish_emergency_auth(req);
 }
 
@@ -266,7 +188,7 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
   std::vector<size_t> ticket(reqs.size(), kNone);
   for (size_t i = 0; i < reqs.size(); ++i) {
     const EmergencyAuthRequest& req = reqs[i];
-    if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) continue;
+    if (!fresh(req)) continue;
     try {
       ibc::IbsSignature sig =
           ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
@@ -347,22 +269,12 @@ Result<Physician::PasscodeResult> Physician::try_request_passcode(
   req.t = net_->clock().now();
   req.sig = signer().sign(req.body(), rng_).to_bytes();
 
-  sim::CallOutcome<AServer::EmergencyAuthOutcome> out =
-      net_->transport().request<AServer::EmergencyAuthOutcome>(
-          id_, authority.id(), req.wire_size(), req.sig, kAuthLabel,
-          [&]() { return authority.handle_emergency_auth(req); },
-          [](const AServer::EmergencyAuthOutcome& o) {
-            return o.to_physician.wire_size();
-          });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "A-server unreachable for emergency auth");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "A-server refused the emergency authentication");
-  }
-  AServer::EmergencyAuthOutcome& outcome = *out.response;
+  Caller caller{*net_, id_};
+  Result<AServer::EmergencyAuthOutcome> out =
+      caller.call(authority, &AServer::handle_emergency_auth, req, kAuthLabel,
+                  "emergency authentication");
+  if (!out.ok()) return out.error();
+  AServer::EmergencyAuthOutcome& outcome = out.value();
   // Step 3 "takes place simultaneously": the A-server's push to the
   // P-device, charged as the protocol's third message.
   net_->transmit(authority.id(), "p-device", outcome.to_pdevice.wire_size(),
@@ -377,14 +289,14 @@ Result<Physician::PasscodeResult> Physician::try_request_passcode(
     const OfficeLink& office = office_link(authority);
     if (!office.verifier.verify(outcome.to_physician.body(id_, req.tp),
                                 sig)) {
-      return permanent_error(ErrorCode::kBadResponse, out.attempts,
+      return permanent_error(ErrorCode::kBadResponse, caller.attempts,
                              "office signature failed verification");
     }
     Bytes nonce = cipher::aead_decrypt(office.varpi,
                                        outcome.to_physician.enc_nonce, {});
     return PasscodeResult{std::move(nonce), std::move(outcome.to_pdevice)};
   } catch (const std::exception&) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
+    return permanent_error(ErrorCode::kBadResponse, caller.attempts,
                            "passcode message failed to decrypt");
   }
 }
@@ -401,20 +313,15 @@ Result<Physician::PasscodeResult> Physician::request_passcode(
   // §VI.D automatic failover: dial the next local office when one times out.
   // Permanent refusals (not on duty, bad signature) are authoritative — every
   // office shares the registry, so trying another cannot change the answer.
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < cluster.size(); ++i) {
-    Result<PasscodeResult> r =
-        try_request_passcode(cluster.replica(i), patient_tp);
-    if (r.ok()) {
-      if (serving_office != nullptr) *serving_office = i;
-      return r;
-    }
-    if (!r.error().transient()) return r;
-    attempts += r.error().attempts;
-    obs::count(obs::kAClusterFailover);
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "every local A-server office timed out");
+  return fail_over(cluster.size(), obs::kAClusterFailover,
+                   "every local A-server office timed out", [&](size_t i) {
+                     Result<PasscodeResult> r =
+                         try_request_passcode(cluster.replica(i), patient_tp);
+                     if (r.ok() && serving_office != nullptr) {
+                       *serving_office = i;
+                     }
+                     return r;
+                   });
 }
 
 // ---- P-device ---------------------------------------------------------------
@@ -464,8 +371,9 @@ bool PDevice::enter_passcode(const std::string& physician_id,
   return ok;
 }
 
-Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
+template <typename Read>
+Result<std::vector<sse::PlainFile>> PDevice::session_retrieve(
+    std::span<const std::string> keywords, Read&& read) {
   if (!session_physician_.has_value() || !bundle_.has_value()) {
     return permanent_error(ErrorCode::kPrecondition, 0,
                            "no passcode session open on the P-device");
@@ -480,9 +388,7 @@ Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
     if (bundle_->ki.contains(kw)) valid.push_back(kw);
   }
   Result<std::vector<sse::PlainFile>> result{std::vector<sse::PlainFile>{}};
-  if (!valid.empty()) {
-    result = privileged_retrieve(*net_, id_, server, *bundle_, valid);
-  }
+  if (!valid.empty()) result = read(std::span<const std::string>(valid));
   // RD: record which physician searched what (§IV.E.2) — kept even when the
   // network failed the retrieval, because the secrets were touched. The
   // ledger append also queues the patient notification ("your data was just
@@ -494,6 +400,13 @@ Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
   return result;
 }
 
+Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
+    SServer& server, std::span<const std::string> keywords) {
+  return session_retrieve(keywords, [&](std::span<const std::string> valid) {
+    return privileged_retrieve(*net_, id_, server, *bundle_, valid);
+  });
+}
+
 std::vector<sse::PlainFile> PDevice::emergency_retrieve(
     SServer& server, std::span<const std::string> keywords) {
   return try_emergency_retrieve(server, keywords).value_or({});
@@ -501,25 +414,11 @@ std::vector<sse::PlainFile> PDevice::emergency_retrieve(
 
 Result<std::vector<sse::PlainFile>> PDevice::emergency_retrieve(
     SServerGroup& group, std::span<const std::string> keywords) {
-  if (!session_physician_.has_value() || !bundle_.has_value()) {
-    return permanent_error(ErrorCode::kPrecondition, 0,
-                           "no passcode session open on the P-device");
-  }
-  ++alerts_;
-  std::vector<std::string> valid;
-  for (const std::string& kw : keywords) {
-    if (bundle_->ki.contains(kw)) valid.push_back(kw);
-  }
-  Result<std::vector<sse::PlainFile>> result{std::vector<sse::PlainFile>{}};
-  if (!valid.empty()) {
-    result =
-        privileged_retrieve_failover(*net_, id_, group, *bundle_, valid);
-  }
-  rd_log_.push_back({*session_physician_, bundle_->tp, valid, session_t11_,
-                     session_aserver_sig_});
-  rd_ledger_.append(event_from_rd(rd_log_.back()));
-  session_physician_.reset();
-  return result;
+  return session_retrieve(keywords, [&](std::span<const std::string> valid) {
+    return group.read(bundle_->tp, [&](SServer& s) {
+      return privileged_retrieve(*net_, id_, s, *bundle_, valid);
+    });
+  });
 }
 
 }  // namespace hcpp::core

@@ -9,6 +9,7 @@
 // bundle from the patient). See Deployment in setup.h for a one-call wiring.
 #pragma once
 
+#include <exception>
 #include <map>
 #include <optional>
 #include <set>
@@ -155,6 +156,24 @@ class AServer {
   /// when the physician is on duty.
   bool verify_physician(const std::string& physician_id, BytesView message,
                         const ibc::IbsSignature& sig);
+  /// Replay guard of a physician-signed request, keyed by its IBS.
+  template <typename Req>
+  bool fresh(const Req& req) {
+    return net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs);
+  }
+  /// Preamble of the physician-signed handlers: freshness, then the
+  /// physician's IBS over the request body.
+  template <typename Req>
+  bool authenticate(const Req& req) {
+    if (!fresh(req)) return false;
+    ibc::IbsSignature sig;
+    try {
+      sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
+    } catch (const std::exception&) {
+      return false;
+    }
+    return verify_physician(req.physician_id, req.body(), sig);
+  }
   /// Γ_A's precomputed signer, built on first use.
   const ibc::IbsSigner& signer();
 
@@ -305,6 +324,30 @@ class SServer {
 
   Account* find_account(BytesView tp, const std::string& collection);
 
+  /// Preamble of every ν-keyed handler: ν from the presented TPp (a
+  /// malformed or small-subgroup point is refused), then admit(). Returns ν,
+  /// or nullopt to refuse.
+  template <typename Req>
+  std::optional<Bytes> authenticate(const Req& req, std::string_view label) {
+    Bytes nu;
+    try {
+      nu = shared_key_for(req.tp);
+    } catch (const std::exception&) {
+      return std::nullopt;
+    }
+    if (!admit(req, nu, label)) return std::nullopt;
+    return nu;
+  }
+  /// The MAC check, then the replay cache — in that order, so a forged
+  /// request never enters the cache. The ρ-keyed MHI handlers use it alone.
+  template <typename Req>
+  bool admit(const Req& req, BytesView key, std::string_view label) {
+    return mac_ok(req, key, label) &&
+           net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs);
+  }
+  /// ρ for a role identity: ê(PK_r, Γ_S), the MHI pairwise key.
+  [[nodiscard]] Bytes rho_for(const std::string& role_id) const;
+
   // Store key layout (DESIGN.md §12): an account spans one base record
   // `<key>` (index ‖ d ‖ BE_U(d)) plus one record per file blob
   // (`<key>#f/<hex fid>`) and one per update-log entry (`<key>#l/<label>`),
@@ -420,6 +463,10 @@ class Patient {
   /// rebuilt static index, which already contains every live file).
   Result<void> try_compact_phi(SServer& server);
   bool compact_phi(SServer& server);
+  /// Group COMPACT: routed like every write (sharded → owner; replicated →
+  /// every replica), so no replica is left on the old static index. The
+  /// epoch bumps when at least one replica applied it, as for store_phi.
+  Result<size_t> try_compact_phi(SServerGroup& group);
 
   [[nodiscard]] const sse::UpdateState& update_state() const noexcept {
     return update_state_;
@@ -505,10 +552,30 @@ class Patient {
   /// static one otherwise (so never-updated flows stay byte-identical).
   [[nodiscard]] std::vector<Bytes> make_trapdoor_blobs(
       std::span<const std::string> keywords);
-  /// Shared body of try_update_phi: commits local state and builds the
-  /// request (update.cpp).
+
+  // One request builder per protocol, shared by every topology; each
+  // commits the client state its protocol changes before sending and
+  // returns the request stamped and MAC'd under ν.
+  StoreRequest build_store_request();
   UpdateRequest build_update_request(std::vector<sse::PlainFile> added,
                                      std::span<const sse::FileId> removed);
+  CompactRequest build_compact_request();
+  RevokeRequest build_revoke_request(size_t slot);
+  /// Retrievals are stamped per server: each failover hop gets a fresh
+  /// timestamp and MAC.
+  [[nodiscard]] RetrieveRequest retrieve_request(
+      const std::vector<Bytes>& trapdoors) const;
+  /// The §IV.D round against one server.
+  Result<std::vector<sse::PlainFile>> retrieve_from(
+      SServer& server, const std::vector<Bytes>& trapdoors);
+  /// A whole-index write (STORE, COMPACT) that a server applied supersedes
+  /// its update log, so the update chains restart under a fresh epoch
+  /// (recycled counter values must not re-derive labels already seen).
+  template <typename R>
+  R restart_update_chains(R r) {
+    if (r.ok()) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
+    return r;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -635,6 +702,12 @@ class PDevice {
   /// The precomputed verifier for an A-server office this device has been
   /// handed, built on first use and rebuilt if the office's Ppub changes.
   const ibc::IbsVerifier& office_verifier(const AServer& office);
+  /// The one §IV.E.2 retrieval body: session check, §VI.A alert,
+  /// dictionary filter and RD record around `read(valid_keywords)`, which
+  /// routes the privileged retrieval (emergency.cpp).
+  template <typename Read>
+  Result<std::vector<sse::PlainFile>> session_retrieve(
+      std::span<const std::string> keywords, Read&& read);
 
   sim::Network* net_;
   std::string id_;
@@ -676,8 +749,8 @@ class Physician {
                                                  BytesView patient_tp);
   Result<PasscodeResult> try_request_passcode(AServer& authority,
                                               BytesView patient_tp);
-  /// §VI.D automatic failover: retries the next local office on timeout
-  /// instead of making the caller poll first_available(). On success
+  /// §VI.D automatic failover (fail_over in cluster.h): retries the next
+  /// local office on a transient error. On success
   /// `serving_office` (if non-null) receives the index of the office that
   /// answered, so the caller can address follow-up messages to it.
   Result<PasscodeResult> request_passcode(AServerCluster& cluster,

@@ -32,6 +32,18 @@ Bytes protocol_mac(BytesView key, std::string_view label, BytesView body,
 bool protocol_mac_ok(BytesView key, std::string_view label, BytesView body,
                      uint64_t timestamp_ns, BytesView mac);
 
+/// Stamps a MAC-authenticated message with time `now` and its MAC.
+template <typename Msg>
+void stamp(Msg& msg, BytesView key, std::string_view label, uint64_t now) {
+  msg.t = now;
+  msg.mac = protocol_mac(key, label, msg.body(), msg.t);
+}
+/// True iff `msg` carries a valid MAC under `key`.
+template <typename Msg>
+bool mac_ok(const Msg& msg, BytesView key, std::string_view label) {
+  return protocol_mac_ok(key, label, msg.body(), msg.t, msg.mac);
+}
+
 // ---- §IV.B private PHI storage: patient → S-server, one message ----------
 struct StoreRequest {
   Bytes tp;                // TPp (serialized point)

@@ -4,9 +4,9 @@
 // A-server, computes TDr(kw), and the S-server returns the matching
 // role-encrypted windows. All exchanges ride the retrying transport.
 #include "src/cipher/aead.h"
+#include "src/core/call.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
@@ -16,6 +16,48 @@ constexpr const char* kRetrieveLabel = "mhi-retrieval";
 constexpr const char* kRoleKeyLabel = "mhi-role-key";
 constexpr const char* kRegisterLabel = "mhi-register";
 constexpr const char* kHitsLabel = "mhi-hits";
+
+/// Uploads one encrypted, PEKS-tagged window. Like PHI storage it is one
+/// message: the ack is not charged.
+Result<void> send_window(Caller& caller, SServer& server,
+                         const PrivilegeBundle& pb, const std::string& role_id,
+                         std::vector<Bytes> peks_tags, Bytes ibe_blob) {
+  MhiStoreRequest req;
+  req.tp = pb.tp;
+  req.role_id = role_id;
+  req.peks_tags = std::move(peks_tags);
+  req.ibe_blob = std::move(ibe_blob);
+  stamp(req, pb.nu, kStoreLabel, caller.net.clock().now());
+  return caller.call(server, &SServer::handle_mhi_store, req, kStoreLabel,
+                     "MHI window");
+}
+
+/// Authenticates a ρ-keyed MHI response and decrypts its role-encrypted
+/// windows with Γr. One precomputation of Γr's Miller lines amortizes across
+/// the batch: each blob's pairing ê(Γr, U) is line evaluations only.
+/// Undecryptable entries are skipped.
+template <typename Resp>
+Result<std::vector<MhiWindow>> open_windows(const curve::CurveCtx& ctx,
+                                            const curve::Point& role_key,
+                                            BytesView rho, const char* label,
+                                            const Resp& resp,
+                                            uint32_t attempts) {
+  if (!mac_ok(resp, rho, label)) {
+    return permanent_error(ErrorCode::kBadResponse, attempts,
+                           "MHI response failed authentication");
+  }
+  std::vector<MhiWindow> windows;
+  ibc::IbeDecryptor decryptor(ctx, role_key);
+  for (const Bytes& blob : resp.ibe_blobs) {
+    try {
+      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(ctx, blob);
+      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
+    } catch (const std::exception&) {
+      // skip undecryptable entries
+    }
+  }
+  return windows;
+}
 }  // namespace
 
 Result<void> PDevice::try_store_mhi(
@@ -26,49 +68,32 @@ Result<void> PDevice::try_store_mhi(
                            "P-device holds no privilege bundle");
   }
   obs::Span span("protocol:mhi_store");
-  Bytes nu = bundle_->nu;
   // Every window is attempted even after a failure — partial MHI coverage
-  // beats none in an emergency. The worst outcome wins the returned error.
-  bool any_rejected = false;
-  bool any_timeout = false;
-  uint32_t attempts = 0;
+  // beats none in an emergency. The worst outcome (a refusal over a
+  // timeout) is returned, with the attempts of every window.
+  Caller caller{*net_, id_};
+  std::optional<ProtocolError> worst;
   for (const MhiWindow& win : mhi_) {
-    MhiStoreRequest req;
-    req.tp = bundle_->tp;
-    req.role_id = role_id;
-    req.ibe_blob =
+    Bytes ibe_blob =
         ibc::ibe_encrypt(authority.pub(), role_id, win.to_bytes(), rng_)
             .to_bytes();
     std::vector<std::string> kws;
     kws.push_back("day:" + win.day);
     for (const std::string& kw : extra_keywords) kws.push_back(kw);
+    std::vector<Bytes> tags;
     for (const std::string& kw : kws) {
-      req.peks_tags.push_back(
+      tags.push_back(
           peks::peks_encrypt(authority.pub(), role_id, kw, rng_).to_bytes());
     }
-    req.t = net_->clock().now();
-    req.mac = protocol_mac(nu, kStoreLabel, req.body(), req.t);
-    // One-message upload: like PHI storage, the ack is not charged.
-    sim::CallOutcome<bool> out = net_->transport().request<bool>(
-        id_, server.id(), req.wire_size(), req.mac, kStoreLabel,
-        [&]() -> std::optional<bool> {
-          return server.handle_mhi_store(req) ? std::optional<bool>(true)
-                                              : std::nullopt;
-        },
-        [](const bool&) { return size_t{0}; });
-    attempts += out.attempts;
-    if (out.status == sim::CallStatus::kRejected) any_rejected = true;
-    if (out.status == sim::CallStatus::kExhausted) any_timeout = true;
+    Result<void> r = send_window(caller, server, *bundle_, role_id,
+                                 std::move(tags), std::move(ibe_blob));
+    if (!r.ok() && (!worst.has_value() || worst->transient())) {
+      worst = r.error();
+    }
   }
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "S-server refused an MHI window");
-  }
-  if (any_timeout) {
-    return transient_error(ErrorCode::kTimeout, attempts,
-                           "MHI window undelivered after retries");
-  }
-  return {};
+  if (!worst.has_value()) return {};
+  worst->attempts = caller.attempts;
+  return *worst;
 }
 
 bool PDevice::store_mhi(const AServer& authority, SServer& server,
@@ -77,20 +102,13 @@ bool PDevice::store_mhi(const AServer& authority, SServer& server,
   return try_store_mhi(authority, server, role_id, extra_keywords).ok();
 }
 
+Bytes SServer::rho_for(const std::string& role_id) const {
+  return nu_deriver_.with_point(ibc::Domain::public_key(*ctx_, role_id));
+}
+
 bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   obs::Span span("sserver:mhi_store");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, kStoreLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!authenticate(req, kStoreLabel)) return false;
   MhiEntry entry;
   try {
     for (const Bytes& tag : req.peks_tags) {
@@ -114,22 +132,8 @@ Result<curve::Point> Physician::try_request_role_key(
   req.role_id = role_id;
   req.t = net_->clock().now();
   req.sig = signer().sign(req.body(), rng_).to_bytes();
-  sim::CallOutcome<curve::Point> out =
-      net_->transport().request<curve::Point>(
-          id_, authority.id(), req.wire_size(), req.sig, kRoleKeyLabel,
-          [&]() { return authority.handle_role_key_request(req); },
-          [](const curve::Point& k) {
-            return curve::point_to_bytes(k).size();
-          });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "A-server unreachable for role-key extraction");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "A-server refused the role-key request");
-  }
-  return *out.response;
+  return Caller{*net_, id_}.call(authority, &AServer::handle_role_key_request,
+                                 req, kRoleKeyLabel, "role-key request");
 }
 
 std::optional<curve::Point> Physician::request_role_key(
@@ -141,18 +145,7 @@ std::optional<curve::Point> Physician::request_role_key(
 
 std::optional<curve::Point> AServer::handle_role_key_request(
     const RoleKeyRequest& req) {
-  if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
-  ibc::IbsSignature sig;
-  try {
-    sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!verify_physician(req.physician_id, req.body(), sig)) {
-    return std::nullopt;
-  }
+  if (!authenticate(req)) return std::nullopt;
   if (!is_on_duty(req.physician_id)) return std::nullopt;
   return domain_.extract(req.role_id);
 }
@@ -168,40 +161,14 @@ Result<std::vector<MhiWindow>> Physician::try_retrieve_mhi(
   req.physician_id = id_;
   req.role_id = role_id;
   req.trapdoor = peks::peks_trapdoor(*ctx_, role_key, keyword).to_bytes();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, kRetrieveLabel, req.body(), req.t);
-
-  sim::CallOutcome<MhiRetrieveResponse> out =
-      net_->transport().request<MhiRetrieveResponse>(
-          id_, server.id(), req.wire_size(), req.mac, kRetrieveLabel,
-          [&]() { return server.handle_mhi_retrieve(req); },
-          [](const MhiRetrieveResponse& r) { return r.wire_size(); });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "MHI retrieval undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the MHI retrieval");
-  }
-  const MhiRetrieveResponse& resp = *out.response;
-  if (!protocol_mac_ok(rho, kRetrieveLabel, resp.body(), resp.t, resp.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "MHI response failed authentication");
-  }
-  std::vector<MhiWindow> windows;
-  // One precomputation of Γr's Miller lines amortizes across the whole
-  // batch: each blob's pairing ê(Γr, U) is line evaluations only.
-  ibc::IbeDecryptor decryptor(*ctx_, role_key);
-  for (const Bytes& blob : resp.ibe_blobs) {
-    try {
-      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(*ctx_, blob);
-      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
-    } catch (const std::exception&) {
-      // skip undecryptable entries
-    }
-  }
-  return windows;
+  stamp(req, rho, kRetrieveLabel, net_->clock().now());
+  Caller caller{*net_, id_};
+  Result<MhiRetrieveResponse> resp =
+      caller.call(server, &SServer::handle_mhi_retrieve, req, kRetrieveLabel,
+                  "MHI retrieval");
+  if (!resp.ok()) return resp.error();
+  return open_windows(*ctx_, role_key, rho, kRetrieveLabel, resp.value(),
+                      caller.attempts);
 }
 
 std::vector<MhiWindow> Physician::retrieve_mhi(SServer& server,
@@ -214,15 +181,8 @@ std::vector<MhiWindow> Physician::retrieve_mhi(SServer& server,
 std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
     const MhiRetrieveRequest& req) {
   obs::Span span("sserver:mhi_retrieve");
-  // Server side of ρ: ê(PK_r, Γ_S).
-  curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
-  Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, kRetrieveLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  Bytes rho = rho_for(req.role_id);
+  if (!admit(req, rho, kRetrieveLabel)) return std::nullopt;
   peks::Trapdoor td;
   try {
     td = peks::Trapdoor::from_bytes(*ctx_, req.trapdoor);
@@ -251,8 +211,7 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
       if (hit) resp.ibe_blobs.push_back(entry.ibe_blob);
     }
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(rho, kRetrieveLabel, resp.body(), resp.t);
+  stamp(resp, rho, kRetrieveLabel, net_->clock().now());
   return resp;
 }
 
@@ -273,29 +232,9 @@ Result<void> PDevice::try_stream_mhi(
   }
   MhiIngestor::EncodedWindow enc =
       mhi_ingestor_->encode(window, extra_keywords, rng_);
-  MhiStoreRequest req;
-  req.tp = bundle_->tp;
-  req.role_id = role_id;
-  req.peks_tags = std::move(enc.peks_tags);
-  req.ibe_blob = std::move(enc.ibe_blob);
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(bundle_->nu, kStoreLabel, req.body(), req.t);
-  sim::CallOutcome<bool> out = net_->transport().request<bool>(
-      id_, server.id(), req.wire_size(), req.mac, kStoreLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_mhi_store(req) ? std::optional<bool>(true)
-                                            : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the streamed MHI window");
-  }
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "streamed MHI window undelivered after retries");
-  }
-  return {};
+  Caller caller{*net_, id_};
+  return send_window(caller, server, *bundle_, role_id,
+                     std::move(enc.peks_tags), std::move(enc.ibe_blob));
 }
 
 bool PDevice::stream_mhi(const AServer& authority, SServer& server,
@@ -307,15 +246,7 @@ bool PDevice::stream_mhi(const AServer& authority, SServer& server,
 
 bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
   obs::Span span("sserver:mhi_register");
-  // Server side of ρ — same role-based pairwise key as retrieval.
-  curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
-  Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, kRegisterLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!admit(req, rho_for(req.role_id), kRegisterLabel)) return false;
   peks::Trapdoor td;
   try {
     td = peks::Trapdoor::from_bytes(*ctx_, req.trapdoor);
@@ -329,20 +260,13 @@ bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
 std::optional<MhiHitsResponse> SServer::handle_mhi_hits(
     const MhiHitsRequest& req) {
   obs::Span span("sserver:mhi_hits");
-  curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
-  Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, kHitsLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  Bytes rho = rho_for(req.role_id);
+  if (!admit(req, rho, kHitsLabel)) return std::nullopt;
   MhiHitsResponse resp;
   for (MhiHit& hit : mhi_hub_.drain_hits(req.physician_id, req.role_id)) {
     resp.ibe_blobs.push_back(std::move(hit.ibe_blob));
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(rho, kHitsLabel, resp.body(), resp.t);
+  stamp(resp, rho, kHitsLabel, net_->clock().now());
   return resp;
 }
 
@@ -356,24 +280,9 @@ Result<void> Physician::try_register_mhi(SServer& server,
   req.physician_id = id_;
   req.role_id = role_id;
   req.trapdoor = peks::peks_trapdoor(*ctx_, role_key, keyword).to_bytes();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, kRegisterLabel, req.body(), req.t);
-  sim::CallOutcome<bool> out = net_->transport().request<bool>(
-      id_, server.id(), req.wire_size(), req.mac, kRegisterLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_mhi_register(req) ? std::optional<bool>(true)
-                                               : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "MHI registration undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the MHI registration");
-  }
-  return {};
+  stamp(req, rho, kRegisterLabel, net_->clock().now());
+  return Caller{*net_, id_}.call(server, &SServer::handle_mhi_register, req,
+                                 kRegisterLabel, "MHI registration");
 }
 
 bool Physician::register_mhi(SServer& server, const std::string& role_id,
@@ -390,37 +299,13 @@ Result<std::vector<MhiWindow>> Physician::try_fetch_mhi_hits(
   MhiHitsRequest req;
   req.physician_id = id_;
   req.role_id = role_id;
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, kHitsLabel, req.body(), req.t);
-  sim::CallOutcome<MhiHitsResponse> out =
-      net_->transport().request<MhiHitsResponse>(
-          id_, server.id(), req.wire_size(), req.mac, kHitsLabel,
-          [&]() { return server.handle_mhi_hits(req); },
-          [](const MhiHitsResponse& r) { return r.wire_size(); });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "MHI hit drain undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the MHI hit drain");
-  }
-  const MhiHitsResponse& resp = *out.response;
-  if (!protocol_mac_ok(rho, kHitsLabel, resp.body(), resp.t, resp.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "MHI hits response failed authentication");
-  }
-  std::vector<MhiWindow> windows;
-  ibc::IbeDecryptor decryptor(*ctx_, role_key);
-  for (const Bytes& blob : resp.ibe_blobs) {
-    try {
-      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(*ctx_, blob);
-      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
-    } catch (const std::exception&) {
-      // skip undecryptable entries
-    }
-  }
-  return windows;
+  stamp(req, rho, kHitsLabel, net_->clock().now());
+  Caller caller{*net_, id_};
+  Result<MhiHitsResponse> resp = caller.call(
+      server, &SServer::handle_mhi_hits, req, kHitsLabel, "MHI hit drain");
+  if (!resp.ok()) return resp.error();
+  return open_windows(*ctx_, role_key, rho, kHitsLabel, resp.value(),
+                      caller.attempts);
 }
 
 std::vector<MhiWindow> Physician::fetch_mhi_hits(SServer& server,

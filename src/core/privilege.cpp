@@ -7,39 +7,15 @@
 
 #include "src/cipher/aead.h"
 #include "src/common/serialize.h"
+#include "src/core/call.h"
 #include "src/core/cluster.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
 constexpr const char* kAssignLabel = "privilege-assign";
 constexpr const char* kRevokeLabel = "privilege-revoke";
-
-/// One transport-routed REVOKE to one server. Like storage, the historical
-/// accounting charges one message (the ack is free), so response_size is 0.
-Result<void> send_revoke(sim::Network& net, const std::string& from,
-                         SServer& server, const RevokeRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kRevokeLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_revoke(req) ? std::optional<bool>(true)
-                                         : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the revocation");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "REVOKE undelivered after retries");
-  }
-}
 }  // namespace
 
 bool assign_privilege(Patient& patient, Family& family, BytesView mu) {
@@ -59,9 +35,8 @@ bool assign_privilege(Patient& patient, PDevice& device, BytesView mu) {
   return device.receive_bundle(sealed, mu);
 }
 
-Result<void> Patient::try_revoke_member(SServer& server, size_t slot) {
+RevokeRequest Patient::build_revoke_request(size_t slot) {
   if (be_group_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:revoke");
   be_group_->revoke(slot);
   Bytes d_new = rng_.bytes(32);
   Bytes be_new = be_group_->encrypt(d_new, rng_);
@@ -75,9 +50,15 @@ Result<void> Patient::try_revoke_member(SServer& server, size_t slot) {
   req.tp = tp_bytes();
   req.collection = collection_;
   req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kRevokeLabel, req.body(), req.t);
-  return send_revoke(*net_, name_, server, req);
+  stamp(req, nu, kRevokeLabel, net_->clock().now());
+  return req;
+}
+
+Result<void> Patient::try_revoke_member(SServer& server, size_t slot) {
+  obs::Span span("protocol:revoke");
+  RevokeRequest req = build_revoke_request(slot);
+  return Caller{*net_, name_}.call(server, &SServer::handle_revoke, req,
+                                   kRevokeLabel, "revocation");
 }
 
 bool Patient::revoke_member(SServer& server, size_t slot) {
@@ -85,72 +66,24 @@ bool Patient::revoke_member(SServer& server, size_t slot) {
 }
 
 Result<size_t> Patient::revoke_member(SServerGroup& group, size_t slot) {
-  if (be_group_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:revoke_replicated");
-  // Re-key once; mirror the same sealed update to every replica. Replicas a
+  obs::Span span("protocol:revoke");
+  // Re-key once; every replica gets the same sealed update. Replicas a
   // retry couldn't reach stay on the old d until the next sync_replicas().
-  be_group_->revoke(slot);
-  Bytes d_new = rng_.bytes(32);
-  Bytes be_new = be_group_->encrypt(d_new, rng_);
-  keys_.d = d_new;
-
-  io::Writer inner;
-  inner.bytes(d_new);
-  inner.bytes(be_new);
-  Bytes nu = shared_key_nu();
-  RevokeRequest req;
-  req.tp = tp_bytes();
-  req.collection = collection_;
-  req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kRevokeLabel, req.body(), req.t);
-
-  if (group.sharded()) {
-    // The owning shard is the only holder of this account's d / BE_U(d).
-    Result<void> r = send_revoke(*net_, name_, group.shard_for(req.tp), req);
-    if (r.ok()) return size_t{1};
-    return r.error();
-  }
-  size_t applied = 0;
-  bool any_rejected = false;
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = send_revoke(*net_, name_, group.replica(i), req);
-    if (r.ok()) {
-      ++applied;
-      obs::count(obs::kSGroupMirrorWrites);
-    } else {
-      attempts += r.error().attempts;
-      any_rejected |= !r.error().transient();
-    }
-  }
-  if (applied > 0) return applied;
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "every replica refused the revocation");
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica reachable for REVOKE");
+  RevokeRequest req = build_revoke_request(slot);
+  return group.write(req.tp, [&](SServer& s) {
+    return Caller{*net_, name_}.call(s, &SServer::handle_revoke, req,
+                                     kRevokeLabel, "revocation");
+  });
 }
 
 bool SServer::handle_revoke(const RevokeRequest& req) {
   obs::Span span("sserver:revoke");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, kRevokeLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  std::optional<Bytes> nu = authenticate(req, kRevokeLabel);
+  if (!nu.has_value()) return false;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
   try {
-    Bytes inner = cipher::aead_decrypt(nu, req.sealed, {});
+    Bytes inner = cipher::aead_decrypt(*nu, req.sealed, {});
     io::Reader r(inner);
     acct->d = r.bytes();
     acct->be_blob = r.bytes();

@@ -1,53 +1,24 @@
 // §IV.D common-case PHI retrieval: one round — trapdoors up, Λ(kw) down.
 // The S-server performs the O(1) SEARCH and never sees keywords or
 // plaintext; the patient decrypts on the cell phone and hands the plaintext
-// to the physician out of band. The exchange rides the retrying transport;
-// against a replicated hospital (SServerGroup) reads fail over to the next
-// replica when one office times out.
-#include <set>
-
+// to the physician out of band. One round body (retrieve_from) serves a
+// single server and every SServerGroup placement (routed by
+// SServerGroup::read); the onion variant differs only in its wire carriage.
+#include "src/core/call.h"
 #include "src/core/cluster.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
 #include "src/sim/onion.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
 constexpr const char* kLabel = "phi-retrieval";
-
-/// One transport-routed retrieval round against one server.
-Result<std::vector<sse::PlainFile>> send_retrieve(sim::Network& net,
-                                                  const std::string& from,
-                                                  SServer& server,
-                                                  const RetrieveRequest& req,
-                                                  BytesView nu,
-                                                  const sse::Keys& keys) {
-  sim::CallOutcome<RetrieveResponse> out =
-      net.transport().request<RetrieveResponse>(
-          from, server.id(), req.wire_size(), req.mac, kLabel,
-          [&]() { return server.handle_retrieve(req); },
-          [](const RetrieveResponse& r) { return r.wire_size(); });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "retrieval undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the retrieval");
-  }
-  const RetrieveResponse& resp = *out.response;
-  if (!protocol_mac_ok(nu, kLabel, resp.body(), resp.t, resp.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "response failed authentication");
-  }
-  return decrypt_files(keys, resp);
-}
 }  // namespace
 
 std::vector<Bytes> Patient::make_trapdoor_blobs(
     std::span<const std::string> keywords) {
+  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   std::vector<Bytes> out;
   out.reserve(keywords.size());
   sse::TrapdoorGen gen(keys_);  // one ϖ_c/f_b key schedule for the batch
@@ -71,18 +42,34 @@ std::vector<Bytes> Patient::make_trapdoor_blobs(
   return out;
 }
 
-Result<std::vector<sse::PlainFile>> Patient::try_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:retrieve");
+RetrieveRequest Patient::retrieve_request(
+    const std::vector<Bytes>& trapdoors) const {
   RetrieveRequest req;
   req.tp = tp_bytes();
   req.collection = collection_;
-  req.trapdoors = make_trapdoor_blobs(keywords);
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
-  return send_retrieve(*net_, name_, server, req, nu, keys_);
+  req.trapdoors = trapdoors;
+  stamp(req, shared_key_nu(), kLabel, net_->clock().now());
+  return req;
+}
+
+Result<std::vector<sse::PlainFile>> Patient::retrieve_from(
+    SServer& server, const std::vector<Bytes>& trapdoors) {
+  RetrieveRequest req = retrieve_request(trapdoors);
+  Caller caller{*net_, name_};
+  Result<RetrieveResponse> resp =
+      caller.call(server, &SServer::handle_retrieve, req, kLabel, "retrieval");
+  if (!resp.ok()) return resp.error();
+  if (!mac_ok(resp.value(), shared_key_nu(), kLabel)) {
+    return permanent_error(ErrorCode::kBadResponse, caller.attempts,
+                           "response failed authentication");
+  }
+  return decrypt_files(keys_, resp.value());
+}
+
+Result<std::vector<sse::PlainFile>> Patient::try_retrieve(
+    SServer& server, std::span<const std::string> keywords) {
+  obs::Span span("protocol:retrieve");
+  return retrieve_from(server, make_trapdoor_blobs(keywords));
 }
 
 std::vector<sse::PlainFile> Patient::retrieve(
@@ -92,46 +79,16 @@ std::vector<sse::PlainFile> Patient::retrieve(
 
 Result<std::vector<sse::PlainFile>> Patient::retrieve(
     SServerGroup& group, std::span<const std::string> keywords) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:retrieve_failover");
-  // One prepared request (one alias rotation step), failed over across the
-  // replicas; a fresh timestamp/MAC per replica keeps replay caches honest.
+  obs::Span span("protocol:retrieve");
+  // One alias rotation step, stamped afresh for each server it reaches.
   std::vector<Bytes> trapdoors = make_trapdoor_blobs(keywords);
-  Bytes nu = shared_key_nu();
-  uint32_t attempts = 0;
-  // Sharded: only the owning shard holds the account — one attempt, no
-  // failover target. Replicated: try each mirror in turn.
-  const size_t first = group.sharded() ? group.shard_of(tp_bytes()) : 0;
-  const size_t tries = group.sharded() ? 1 : group.size();
-  for (size_t i = 0; i < tries; ++i) {
-    RetrieveRequest req;
-    req.tp = tp_bytes();
-    req.collection = collection_;
-    req.trapdoors = trapdoors;
-    req.t = net_->clock().now();
-    req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
-    Result<std::vector<sse::PlainFile>> r =
-        send_retrieve(*net_, name_, group.replica(first + i), req, nu, keys_);
-    if (r.ok() || !r.error().transient()) return r;
-    attempts += r.error().attempts;
-    obs::count(obs::kSGroupFailover);
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica answered the retrieval");
+  return group.read(tp_bytes(), [&](SServer& s) { return retrieve_from(s, trapdoors); });
 }
 
 std::vector<sse::PlainFile> Patient::retrieve_anonymous(
     SServer& server, sim::OnionNetwork& onion,
     std::span<const std::string> keywords) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  RetrieveRequest req;
-  req.tp = tp_bytes();
-  req.collection = collection_;
-  req.trapdoors = make_trapdoor_blobs(keywords);
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
-
+  RetrieveRequest req = retrieve_request(make_trapdoor_blobs(keywords));
   Bytes reply = onion.round_trip(
       name_, sserver_id_, req.to_wire(),
       [&server](BytesView wire) -> Bytes {
@@ -151,25 +108,15 @@ std::vector<sse::PlainFile> Patient::retrieve_anonymous(
   } catch (const std::exception&) {
     return {};
   }
-  if (!protocol_mac_ok(nu, kLabel, resp.body(), resp.t, resp.mac)) return {};
+  if (!mac_ok(resp, shared_key_nu(), kLabel)) return {};
   return decrypt_files(keys_, resp);
 }
 
 std::optional<RetrieveResponse> SServer::handle_retrieve(
     const RetrieveRequest& req) {
   obs::Span span("sserver:retrieve");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!protocol_mac_ok(nu, kLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  std::optional<Bytes> nu = authenticate(req, kLabel);
+  if (!nu.has_value()) return std::nullopt;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return std::nullopt;
 
@@ -181,8 +128,7 @@ std::optional<RetrieveResponse> SServer::handle_retrieve(
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, kLabel, resp.body(), resp.t);
+  stamp(resp, *nu, kLabel, net_->clock().now());
   return resp;
 }
 

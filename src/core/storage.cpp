@@ -2,81 +2,44 @@
 // the privilege material (d, BE_U(d)) the ASSIGN/REVOKE extension needs.
 // Uploads ride the retrying transport: lost or duplicated messages are
 // retried / suppressed transparently, and the caller sees a typed Result.
+// One request builder serves the single-server, group (SServerGroup::write)
+// and onion variants.
+#include "src/core/call.h"
 #include "src/core/cluster.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
 #include "src/sim/onion.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
 constexpr const char* kLabel = "phi-storage";
-
-// `index_files` carry the (possibly aliased) search keywords; `body_files`
-// are what actually gets encrypted and returned to searchers.
-StoreRequest build_store_request(RandomSource& rng,
-                                 const std::string& collection,
-                                 std::span<const sse::PlainFile> index_files,
-                                 std::span<const sse::PlainFile> body_files,
-                                 be::BroadcastGroup& be_group,
-                                 const sse::Keys& keys, uint64_t now,
-                                 BytesView nu, BytesView tp) {
-  StoreRequest req;
-  req.tp = Bytes(tp.begin(), tp.end());
-  req.collection = collection;
-  req.index = sse::build_index(index_files, keys, rng).to_bytes();
-  req.files = sse::encrypt_collection(body_files, keys, rng).to_bytes();
-  req.d = keys.d;
-  req.be_blob = be_group.encrypt(keys.d, rng);
-  req.t = now;
-  req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
-  return req;
-}
-
-/// One transport-routed upload to one server. The acknowledgement is not
-/// separately charged (historical §V.B.2 accounting: storage is one
-/// message), so response_size reports 0.
-Result<void> send_store(sim::Network& net, const std::string& from,
-                        SServer& server, const StoreRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_store(req) ? std::optional<bool>(true)
-                                        : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the upload");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "PHI upload undelivered after retries");
-  }
-}
 }  // namespace
 
-Result<void> Patient::try_store_phi(SServer& server) {
+StoreRequest Patient::build_store_request() {
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:store");
   // Home-PC side: secure index (over keyword aliases, §VI.B), logical
-  // keyword index, encrypted collection.
+  // keyword index, encrypted collection. `aliased` carries the search
+  // keywords; `files_` is what gets encrypted and returned to searchers.
   ki_ = KeywordIndex::build(files_, sserver_id_);
   std::vector<sse::PlainFile> aliased =
       apply_keyword_aliases(files_, alias_count_);
-  StoreRequest req = build_store_request(
-      rng_, collection_, aliased, files_, *be_group_, keys_,
-      net_->clock().now(), shared_key_nu(), tp_bytes());
-  Result<void> r = send_store(*net_, name_, server, req);
-  // A whole-index upload supersedes any server-side update log, so the
-  // update chains restart under a fresh epoch (recycled counter values must
-  // not re-derive labels the server has already seen).
-  if (r.ok()) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
-  return r;
+  StoreRequest req;
+  req.tp = tp_bytes();
+  req.collection = collection_;
+  req.index = sse::build_index(aliased, keys_, rng_).to_bytes();
+  req.files = sse::encrypt_collection(files_, keys_, rng_).to_bytes();
+  req.d = keys_.d;
+  req.be_blob = be_group_->encrypt(keys_.d, rng_);
+  stamp(req, shared_key_nu(), kLabel, net_->clock().now());
+  return req;
+}
+
+Result<void> Patient::try_store_phi(SServer& server) {
+  obs::Span span("protocol:store");
+  StoreRequest req = build_store_request();
+  return restart_update_chains(Caller{*net_, name_}.call(
+      server, &SServer::handle_store, req, kLabel, "PHI upload"));
 }
 
 bool Patient::store_phi(SServer& server) {
@@ -84,60 +47,19 @@ bool Patient::store_phi(SServer& server) {
 }
 
 Result<size_t> Patient::store_phi(SServerGroup& group) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:store_replicated");
-  ki_ = KeywordIndex::build(files_, sserver_id_);
-  std::vector<sse::PlainFile> aliased =
-      apply_keyword_aliases(files_, alias_count_);
-  // One prepared upload, mirrored to every replica (same MAC — each replica
-  // keeps its own replay cache, and the transport keys idempotency by
-  // (receiver, MAC), so the fan-out is safe). Sharded groups get exactly one
-  // upload, to the owning shard.
-  StoreRequest req = build_store_request(
-      rng_, collection_, aliased, files_, *be_group_, keys_,
-      net_->clock().now(), shared_key_nu(), tp_bytes());
-  if (group.sharded()) {
-    Result<void> r =
-        send_store(*net_, name_, group.shard_for(req.tp), req);
-    if (r.ok()) {
-      update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
-      return size_t{1};
-    }
-    return r.error();
-  }
-  size_t stored = 0;
-  bool any_rejected = false;
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = send_store(*net_, name_, group.replica(i), req);
-    if (r.ok()) {
-      ++stored;
-      obs::count(obs::kSGroupMirrorWrites);
-    } else {
-      attempts += r.error().attempts;
-      any_rejected |= !r.error().transient();
-    }
-  }
-  if (stored > 0) {
-    update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
-    return stored;
-  }
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "every replica refused the upload");
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica reachable");
+  obs::Span span("protocol:store");
+  // One prepared upload, the same MAC to every replica: each replica keeps
+  // its own replay cache, and the transport keys idempotency by (receiver,
+  // MAC), so the fan-out is safe.
+  StoreRequest req = build_store_request();
+  return restart_update_chains(group.write(req.tp, [&](SServer& s) {
+    return Caller{*net_, name_}.call(s, &SServer::handle_store, req, kLabel,
+                                     "PHI upload");
+  }));
 }
 
 bool Patient::store_phi_anonymous(SServer& server, sim::OnionNetwork& onion) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  ki_ = KeywordIndex::build(files_, sserver_id_);
-  std::vector<sse::PlainFile> aliased =
-      apply_keyword_aliases(files_, alias_count_);
-  StoreRequest req = build_store_request(
-      rng_, collection_, aliased, files_, *be_group_, keys_,
-      net_->clock().now(), shared_key_nu(), tp_bytes());
+  StoreRequest req = build_store_request();
   Bytes reply = onion.round_trip(
       name_, sserver_id_, req.to_wire(),
       [&server](BytesView wire) -> Bytes {
@@ -150,22 +72,13 @@ bool Patient::store_phi_anonymous(SServer& server, sim::OnionNetwork& onion) {
       },
       rng_);
   bool ok = reply.size() == 1 && reply[0] == 1;
-  if (ok) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
+  if (ok) restart_update_chains(Result<void>{});
   return ok;
 }
 
 bool SServer::handle_store(const StoreRequest& req) {
   obs::Span span("sserver:store");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;  // malformed pseudonym point
-  }
-  if (!protocol_mac_ok(nu, kLabel, req.body(), req.t, req.mac)) return false;
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!authenticate(req, kLabel)) return false;
   Account acct;
   try {
     acct.index = std::make_shared<const sse::SecureIndex>(

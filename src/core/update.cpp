@@ -20,68 +20,23 @@
 // every live file.
 #include <algorithm>
 
+#include "src/core/call.h"
 #include "src/core/cluster.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
 constexpr const char* kUpdateLabel = "phi-update";
 constexpr const char* kCompactLabel = "phi-compact";
-
-/// One transport-routed UPDATE to one server. Like storage, the historical
-/// accounting charges one message (the ack is free), so response_size is 0.
-Result<void> send_update(sim::Network& net, const std::string& from,
-                         SServer& server, const UpdateRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kUpdateLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_update(req) ? std::optional<bool>(true)
-                                         : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the update");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "PHI update undelivered after retries");
-  }
-}
-
-Result<void> send_compact(sim::Network& net, const std::string& from,
-                          SServer& server, const CompactRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kCompactLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_compact(req) ? std::optional<bool>(true)
-                                          : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the compaction");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "compaction undelivered after retries");
-  }
-}
 }  // namespace
 
 // ---- Patient ----------------------------------------------------------------
 
 UpdateRequest Patient::build_update_request(
     std::vector<sse::PlainFile> added, std::span<const sse::FileId> removed) {
+  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   UpdateRequest req;
   req.tp = tp_bytes();
   req.collection = collection_;
@@ -139,19 +94,17 @@ UpdateRequest Patient::build_update_request(
   }
 
   update_state_ = up.state();
+  stamp(req, shared_key_nu(), kUpdateLabel, net_->clock().now());
   return req;
 }
 
 Result<void> Patient::try_update_phi(SServer& server,
                                      std::vector<sse::PlainFile> added,
                                      std::span<const sse::FileId> removed) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:update");
   UpdateRequest req = build_update_request(std::move(added), removed);
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kUpdateLabel, req.body(), req.t);
-  return send_update(*net_, name_, server, req);
+  return Caller{*net_, name_}.call(server, &SServer::handle_update, req,
+                                   kUpdateLabel, "PHI update");
 }
 
 bool Patient::update_phi(SServer& server, std::vector<sse::PlainFile> added,
@@ -162,43 +115,16 @@ bool Patient::update_phi(SServer& server, std::vector<sse::PlainFile> added,
 Result<size_t> Patient::try_update_phi(SServerGroup& group,
                                        std::vector<sse::PlainFile> added,
                                        std::span<const sse::FileId> removed) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:update_replicated");
+  obs::Span span("protocol:update");
   UpdateRequest req = build_update_request(std::move(added), removed);
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kUpdateLabel, req.body(), req.t);
-  if (group.sharded()) {
-    // The owning shard is the only holder of this account.
-    Result<void> r = send_update(*net_, name_, group.shard_for(req.tp), req);
-    if (r.ok()) return size_t{1};
-    return r.error();
-  }
-  size_t applied = 0;
-  bool any_rejected = false;
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = send_update(*net_, name_, group.replica(i), req);
-    if (r.ok()) {
-      ++applied;
-      obs::count(obs::kSGroupMirrorWrites);
-    } else {
-      attempts += r.error().attempts;
-      any_rejected |= !r.error().transient();
-    }
-  }
-  if (applied > 0) return applied;
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "every replica refused the update");
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica reachable for UPDATE");
+  return group.write(req.tp, [&](SServer& s) {
+    return Caller{*net_, name_}.call(s, &SServer::handle_update, req,
+                                     kUpdateLabel, "PHI update");
+  });
 }
 
-Result<void> Patient::try_compact_phi(SServer& server) {
+CompactRequest Patient::build_compact_request() {
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:compact");
   // Fold: rebuild the packed index from the live file set with fresh
   // randomness (over the aliased keywords, like store_phi).
   std::vector<sse::PlainFile> aliased =
@@ -207,36 +133,37 @@ Result<void> Patient::try_compact_phi(SServer& server) {
   req.tp = tp_bytes();
   req.collection = collection_;
   req.index = sse::build_index(aliased, keys_, rng_).to_bytes();
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kCompactLabel, req.body(), req.t);
-  Result<void> r = send_compact(*net_, name_, server, req);
-  // Counters restart under a bumped epoch only once the server confirmed
-  // the fold — see the commit-discipline note at the top of this file.
-  if (r.ok()) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
-  return r;
+  stamp(req, shared_key_nu(), kCompactLabel, net_->clock().now());
+  return req;
+}
+
+// Counters restart under a bumped epoch only once a server confirmed the
+// fold — see the commit-discipline note at the top of this file.
+Result<void> Patient::try_compact_phi(SServer& server) {
+  obs::Span span("protocol:compact");
+  CompactRequest req = build_compact_request();
+  return restart_update_chains(Caller{*net_, name_}.call(
+      server, &SServer::handle_compact, req, kCompactLabel, "compaction"));
 }
 
 bool Patient::compact_phi(SServer& server) {
   return try_compact_phi(server).ok();
 }
 
+Result<size_t> Patient::try_compact_phi(SServerGroup& group) {
+  obs::Span span("protocol:compact");
+  CompactRequest req = build_compact_request();
+  return restart_update_chains(group.write(req.tp, [&](SServer& s) {
+    return Caller{*net_, name_}.call(s, &SServer::handle_compact, req,
+                                     kCompactLabel, "compaction");
+  }));
+}
+
 // ---- S-server handlers ------------------------------------------------------
 
 bool SServer::handle_update(const UpdateRequest& req) {
   obs::Span span("sserver:update");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, kUpdateLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!authenticate(req, kUpdateLabel)) return false;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
 
@@ -260,18 +187,7 @@ bool SServer::handle_update(const UpdateRequest& req) {
 
 bool SServer::handle_compact(const CompactRequest& req) {
   obs::Span span("sserver:compact");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, kCompactLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!authenticate(req, kCompactLabel)) return false;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
 

@@ -328,6 +328,93 @@ TEST(StorageFailover, PartitionFailoverCountersMatchDeliveryStats) {
 }
 #endif  // HCPP_OBS
 
+TEST(StorageFailover, GroupCompactionReachesEveryReplica) {
+  // A compaction that reached only one replica would leave the other on its
+  // old static index while the patient restarts its counters: after a
+  // failover, the now-static trapdoor of an updated keyword would miss every
+  // file that UPDATE added before the compaction.
+  GroupRig rig(2);
+  ASSERT_TRUE(rig.patient->store_phi(*rig.group).ok());
+  sse::PlainFile added{1000, "late-result", to_bytes("late lab result"),
+                       {"kw-late"}};
+  Result<size_t> updated = rig.patient->try_update_phi(*rig.group, {added});
+  ASSERT_TRUE(updated.ok());
+  EXPECT_EQ(updated.value(), 2u);
+  Result<size_t> compacted = rig.patient->try_compact_phi(*rig.group);
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_EQ(compacted.value(), 2u);
+
+  rig.group->set_up(0, false);
+  std::vector<std::string> kws = {"kw-late"};
+  Result<std::vector<sse::PlainFile>> got =
+      rig.patient->retrieve(*rig.group, kws);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().size(), 1u);
+  EXPECT_EQ(got.value().front().id, 1000u);
+}
+
+TEST(ShardedGroup, OwnerDownIsTheSameTransientErrorOnReadsAndWrites) {
+  // A sharded group has no failover target: with the owner down, writes and
+  // reads alike return the owner's own transient error, count no failover
+  // and never address another shard.
+  sim::Network net;
+  cipher::Drbg rng(to_bytes("sharded-owner-down"));
+  const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
+  AServer authority(net, ctx, "state-a", rng);
+  SServerGroup group(net, authority, "hosp", 3,
+                     SServerGroup::Placement::kSharded);
+  Patient patient(net, "pat", rng);
+  patient.setup(authority, group.service_id());
+  patient.add_files(generate_phi_collection(6, patient.rng()));
+  ASSERT_TRUE(patient.store_phi(group).ok());
+  Family family(net, "fam");
+  ASSERT_TRUE(assign_privilege(patient, family, rng.bytes(32)));
+
+  const size_t owner = group.shard_of(patient.tp_bytes());
+  group.set_up(owner, false);
+  sim::RetryPolicy quick;
+  quick.max_attempts = 2;
+  net.transport().set_policy(quick);
+  net.transport().reset_stats();
+#if HCPP_OBS
+  ScopedRegistry scoped;
+#endif
+
+  std::vector<std::string> kws = {
+      patient.keyword_index().dictionary().front()};
+  sse::PlainFile added{1000, "late-result", to_bytes("late lab result"),
+                       {"kw-late"}};
+  std::vector<ProtocolError> errors;
+  auto keep = [&](const auto& r) {
+    ASSERT_FALSE(r.ok());
+    errors.push_back(r.error());
+  };
+  keep(patient.store_phi(group));
+  keep(patient.try_update_phi(group, {added}));
+  keep(patient.revoke_member(group, kFamilySlot));
+  keep(patient.retrieve(group, kws));
+  keep(family.emergency_retrieve(group, kws));
+  ASSERT_EQ(errors.size(), 5u);
+  for (const ProtocolError& e : errors) {
+    EXPECT_TRUE(e.transient());
+    EXPECT_EQ(e.code, ErrorCode::kTimeout);
+    EXPECT_EQ(e.attempts, quick.max_attempts);
+  }
+  for (size_t i = 0; i < group.size(); ++i) {
+    if (i != owner) {
+      EXPECT_EQ(group.replica(i).account_count(), 0u);
+    }
+  }
+#if HCPP_OBS
+  obs::Snapshot s = scoped.reg.snapshot();
+  EXPECT_EQ(s.counter(obs::kSGroupFailover), 0u);
+  // Every wire attempt was a request leg that died at the down owner: none
+  // went to a live shard.
+  EXPECT_EQ(s.counter(obs::kNetUnreachable),
+            net.transport().total().attempts);
+#endif
+}
+
 // ---- Replicated authority (§VI.D) -------------------------------------------
 
 TEST(AuthorityFailover, TransportRetriesTheNextOfficeAutomatically) {

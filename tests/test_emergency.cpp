@@ -214,20 +214,6 @@ TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
   EXPECT_EQ(cluster.all_traces()[0].physician_id, "dr-er");
 }
 
-TEST(AServerFailover, AllOfficesDownMeansNoAuthority) {
-  // Legacy manual-polling path (deprecated, kept working): first_available
-  // still reports outages for callers that have not migrated.
-  sim::Network net;
-  cipher::Drbg rng(to_bytes("failover-all"));
-  const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
-  AServerCluster cluster(net, ctx, "state-a", 2, rng);
-  cluster.set_up(0, false);
-  cluster.set_up(1, false);
-  EXPECT_EQ(cluster.first_available(), nullptr);
-  cluster.set_up(1, true);
-  ASSERT_NE(cluster.first_available(), nullptr);
-}
-
 TEST(AServerFailover, ReplicasShareDutyRegistry) {
   sim::Network net;
   cipher::Drbg rng(to_bytes("failover-duty"));
