@@ -6,12 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <ctime>
 #include <string>
-#include <string_view>
 
-#include "src/cipher/chacha20.h"
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
@@ -53,24 +50,16 @@ void BM_MontMul(benchmark::State& state) {
 BENCHMARK(BM_MontMul)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
 
 // Kernel ablation for the CIOS multiply: the same serial-dependency loop
-// through a context built with the runtime-dispatched kernel (MULX/ADX where
-// the CPU has it) and through one pinned to the portable kernel by setting
-// HCPP_FORCE_GENERIC around construction (MontCtx samples the dispatch state
-// when built). The label records the kernel that actually ran so
-// BENCH_pairing.json rows stay interpretable on non-ADX hosts, where both
-// benches measure the generic path.
+// through a context built with the runtime-dispatched kernel (MULX/ADX at
+// the production width where the CPU has it) and through one pinned to the
+// portable kernel by forcing generic around construction (MontCtx samples
+// the dispatch state when built). The label records the kernel that
+// actually ran so BENCH_pairing.json rows stay interpretable: the 256-bit
+// test set and non-ADX hosts measure the generic path in both benches.
 mp::MontCtx make_generic_ctx(const mp::U512& m) {
-  const char* prev = std::getenv("HCPP_FORCE_GENERIC");
-  std::string saved = prev != nullptr ? prev : "";
-  ::setenv("HCPP_FORCE_GENERIC", "1", 1);
-  mp::refresh_dispatch();
+  const bool prev = mp::set_force_generic(true);
   mp::MontCtx ctx(m);
-  if (prev != nullptr) {
-    ::setenv("HCPP_FORCE_GENERIC", saved.c_str(), 1);
-  } else {
-    ::unsetenv("HCPP_FORCE_GENERIC");
-  }
-  mp::refresh_dispatch();
+  mp::set_force_generic(prev);
   return ctx;
 }
 
@@ -455,105 +444,8 @@ BENCHMARK(BM_SharedKeyDerivationFixedKey)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// JSON reporting.
-//
-// The distro's prebuilt libbenchmark bakes "library_build_type" into the
-// shared library from the library's OWN compile flags, so every JSON report
-// says "debug" regardless of how this binary was built — which is the field
-// tools/run_benchmarks.sh gates on. This reporter emits the same context
-// block with library_build_type derived from THIS translation unit's NDEBUG,
-// i.e. the build type of the code actually under measurement.
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-class HonestJsonReporter : public benchmark::JSONReporter {
- public:
-  bool ReportContext(const Context& context) override {
-    std::ostream& out = GetOutputStream();
-    char date[64];
-    std::time_t now = std::time(nullptr);
-    std::tm tm_buf{};
-    localtime_r(&now, &tm_buf);
-    std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%S%z", &tm_buf);
-    out << "{\n  \"context\": {\n";
-    out << "    \"date\": \"" << date << "\",\n";
-    out << "    \"host_name\": \"" << json_escape(context.sys_info.name)
-        << "\",\n";
-    if (Context::executable_name != nullptr) {
-      out << "    \"executable\": \""
-          << json_escape(Context::executable_name) << "\",\n";
-    }
-    const benchmark::CPUInfo& cpu = context.cpu_info;
-    out << "    \"num_cpus\": " << cpu.num_cpus << ",\n";
-    out << "    \"mhz_per_cpu\": "
-        << static_cast<int64_t>(cpu.cycles_per_second / 1e6 + 0.5) << ",\n";
-    if (cpu.scaling != benchmark::CPUInfo::UNKNOWN) {
-      out << "    \"cpu_scaling_enabled\": "
-          << (cpu.scaling == benchmark::CPUInfo::ENABLED ? "true" : "false")
-          << ",\n";
-    }
-    out << "    \"load_avg\": [";
-    for (size_t i = 0; i < cpu.load_avg.size(); ++i) {
-      if (i != 0) out << ",";
-      out << cpu.load_avg[i];
-    }
-    out << "],\n";
-    // Which vectorized kernels this process dispatched to — the ablation
-    // benches above only make sense alongside this record.
-    const auto& feat = mp::cpu_features();
-    out << "    \"cpu_features\": {\"bmi2\": "
-        << (feat.bmi2 ? "true" : "false")
-        << ", \"adx\": " << (feat.adx ? "true" : "false")
-        << ", \"avx2\": " << (feat.avx2 ? "true" : "false") << "},\n";
-    out << "    \"mont_kernel\": \"" << mp::mont_kernel_name() << "\",\n";
-    out << "    \"chacha_kernel\": \"" << cipher::chacha20_kernel_name()
-        << "\",\n";
-#ifdef NDEBUG
-    out << "    \"library_build_type\": \"release\"\n";
-#else
-    out << "    \"library_build_type\": \"debug\"\n";
-#endif
-    out << "  },\n";
-    out << "  \"benchmarks\": [\n";
-    return true;
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // When --benchmark_out is requested, substitute the honest JSON reporter
-  // for the library's file reporter (the library still opens the file and
-  // owns the stream). Detect the flag before Initialize consumes it; passing
-  // a file reporter without the flag is a hard error in the library.
-  bool want_file = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg.rfind("--benchmark_out=", 0) == 0 || arg == "--benchmark_out") {
-      want_file = true;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (want_file) {
-    HonestJsonReporter file_reporter;
-    benchmark::RunSpecifiedBenchmarks(nullptr, &file_reporter);
-  } else {
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  benchmark::Shutdown();
-  return 0;
+  return hcpp::bench::benchmark_main("bench_computation", argc, argv);
 }

@@ -5,20 +5,18 @@
 // the numbers are the ones a deployment's metrics endpoint would report.
 //
 // Plain main() harness (like bench_throughput): prints a table and, with
-// --json-out=PATH, a JSON report whose context records library_build_type
-// so tools/run_benchmarks.sh can refuse debug-build numbers.
-#include <chrono>
+// --json-out, a JSON report (bench/report.h).
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/ledger/ledger.h"
 #include "src/obs/metrics.h"
 
 using namespace hcpp;
+using bench::Row;
 
 namespace {
 
@@ -39,35 +37,8 @@ ledger::AccessEvent make_event(uint64_t i) {
   return ev;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-struct Row {
-  std::string workload;
-  double ops_per_sec;
-  std::string unit;
-};
-
-/// Runs `body` (performing `ops` unit operations per call) for at least
-/// `min_seconds` after one untimed warm-up and returns ops/sec.
-template <typename F>
-double measure(double min_seconds, size_t ops, F&& body) {
-  body();
-  size_t total_ops = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    body();
-    total_ops += ops;
-    elapsed = seconds_since(t0);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(total_ops) / elapsed;
-}
-
 Row bench_append() {
-  double ops = measure(0.3, kEntries, [] {
+  double ops = bench::measure(0.3, kEntries, [] {
     ledger::Ledger led("bench");
     for (uint64_t i = 0; i < kEntries; ++i) led.append(make_event(i));
   });
@@ -77,7 +48,7 @@ Row bench_append() {
 Row bench_append_wal() {
   std::filesystem::path wal =
       std::filesystem::temp_directory_path() / "hcpp-bench-ledger-wal";
-  double ops = measure(0.3, kEntries, [&] {
+  double ops = bench::measure(0.3, kEntries, [&] {
     std::filesystem::remove(wal);
     ledger::Ledger led("bench");
     if (!led.attach_wal(wal.string())) std::abort();
@@ -88,14 +59,14 @@ Row bench_append_wal() {
 }
 
 Row bench_verify_chain(const ledger::Ledger& led) {
-  double ops = measure(0.3, led.size(), [&] {
+  double ops = bench::measure(0.3, led.size(), [&] {
     if (!led.verify_chain().ok()) std::abort();
   });
   return {"verify_chain", ops, "entries/s"};
 }
 
 Row bench_recover(const std::string& wal_path) {
-  double ops = measure(0.3, kEntries, [&] {
+  double ops = bench::measure(0.3, kEntries, [&] {
     ledger::RecoveryReport rep;
     ledger::Ledger led = ledger::Ledger::recover(wal_path, "bench", &rep);
     if (rep.entries != kEntries) std::abort();
@@ -105,7 +76,7 @@ Row bench_recover(const std::string& wal_path) {
 
 Row bench_proofs(const ledger::Ledger& led) {
   Bytes root = led.merkle_root(led.size());
-  double ops = measure(0.3, 256, [&] {
+  double ops = bench::measure(0.3, 256, [&] {
     for (uint64_t i = 0; i < 256; ++i) {
       uint64_t seq = (i * 131) % led.size();
       ledger::InclusionProof proof = led.prove(seq, led.size());
@@ -115,58 +86,10 @@ Row bench_proofs(const ledger::Ledger& led) {
   return {"prove_and_verify", ops, "proofs/s"};
 }
 
-void write_json(const char* path, const std::vector<Row>& rows,
-                const obs::HistogramSummary& verify_lat) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_ledger\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"chain_entries\": %zu\n  },\n  \"benchmarks\": [\n",
-               build_type, std::thread::hardware_concurrency(), kEntries);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"ops_per_sec\": %.2f, "
-                 "\"unit\": \"%s\"}%s\n",
-                 r.workload.c_str(), r.ops_per_sec, r.unit.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"proof_verify_latency_ns\": {\n"
-               "    \"source_histogram\": \"%s\",\n"
-               "    \"count\": %llu,\n"
-               "    \"p50\": %.1f,\n    \"p95\": %.1f,\n    \"p99\": %.1f,\n"
-               "    \"max\": %.1f\n  }\n}\n",
-               obs::kLedgerProofVerifyNs,
-               static_cast<unsigned long long>(verify_lat.count),
-               verify_lat.percentile(0.50), verify_lat.percentile(0.95),
-               verify_lat.percentile(0.99), verify_lat.max);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json-out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const char* json_out = bench::parse_json_out(argc, argv);
 
   // A populated chain for the read-side workloads, plus a WAL image of it
   // for the recovery workload.
@@ -189,12 +112,8 @@ int main(int argc, char** argv) {
   obs::attach(&reg);
   rows.push_back(bench_proofs(led));
   obs::attach(nullptr);
-  obs::HistogramSummary verify_lat;
-  obs::Snapshot snap = reg.snapshot();
-  if (auto it = snap.histograms.find(obs::kLedgerProofVerifyNs);
-      it != snap.histograms.end()) {
-    verify_lat = it->second;
-  }
+  obs::HistogramSummary verify_lat =
+      bench::histogram_summary(reg, obs::kLedgerProofVerifyNs);
   std::filesystem::remove(wal);
 
   std::printf("%-18s %14s  %s\n", "workload", "ops/sec", "unit");
@@ -209,8 +128,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(verify_lat.count));
 
   if (json_out != nullptr) {
-    write_json(json_out, rows, verify_lat);
-    std::printf("wrote %s\n", json_out);
+    bench::write_report(
+        json_out, "bench_ledger",
+        [](bench::Json& j) { j.integer("chain_entries", kEntries); },
+        [&](bench::Json& j) {
+          bench::write_rows(j, rows);
+          bench::write_histogram(j, "proof_verify_latency_ns",
+                                 obs::kLedgerProofVerifyNs, verify_lat);
+        });
   }
   return 0;
 }

@@ -25,8 +25,7 @@
 // refuse a report whose store diverged.
 //
 // Plain main() harness (like bench_ledger): prints tables and, with
-// --json-out=PATH, writes BENCH_load.json whose context records
-// library_build_type so run_benchmarks.sh can refuse debug-build numbers.
+// --json-out, writes BENCH_load.json (bench/report.h).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -39,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/common/serialize.h"
 #include "src/core/cluster.h"
@@ -71,12 +71,10 @@ struct Args {
 };
 
 [[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--accounts=N] [--shards=N] [--hot=N] "
-               "[--clients=N] [--closed-ops=N] [--open-ops=N] "
-               "[--qps=Q1,Q2,...] [--dir=PATH] [--json-out=PATH]\n",
-               argv0);
-  std::exit(2);
+  bench::usage(argv0,
+               "[--accounts=N] [--shards=N] [--hot=N] [--clients=N] "
+               "[--closed-ops=N] [--open-ops=N] [--qps=Q1,Q2,...] "
+               "[--dir=PATH] ");
 }
 
 Args parse_args(int argc, char** argv) {
@@ -108,7 +106,7 @@ Args parse_args(int argc, char** argv) {
       }
     } else if (const char* v = num("--dir=")) {
       a.dir = v;
-    } else if (const char* v = num("--json-out=")) {
+    } else if (const char* v = bench::json_out_arg(s)) {
       a.json_out = v;
     } else {
       usage(argv[0]);
@@ -222,78 +220,65 @@ void print_pct(const char* name, const Pct& p) {
               p.p99, p.max);
 }
 
-void json_pct(std::FILE* f, const char* name, const Pct& p, bool comma) {
-  std::fprintf(f,
-               "        \"%s\": {\"count\": %llu, \"p50_us\": %.1f, "
-               "\"p95_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f}%s\n",
-               name, static_cast<unsigned long long>(p.count), p.p50 / 1e3,
-               p.p95 / 1e3, p.p99 / 1e3, p.max / 1e3, comma ? "," : "");
+void json_pct(bench::Json& j, const char* name, const Pct& p) {
+  j.object(name)
+      .integer("count", p.count)
+      .real("p50_us", p.p50 / 1e3, 1)
+      .real("p95_us", p.p95 / 1e3, 1)
+      .real("p99_us", p.p99 / 1e3, 1)
+      .real("max_us", p.max / 1e3, 1)
+      .end();
 }
 
 void write_json(const Args& args, size_t template_bytes,
                 const ClosedRow& closed, const std::vector<OpenRow>& rows,
                 const OracleReport& oracle) {
-  std::FILE* f = std::fopen(args.json_out, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_load\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"accounts\": %zu,\n"
-               "    \"shards\": %zu,\n"
-               "    \"hot_accounts\": %zu,\n"
-               "    \"template_account_bytes\": %zu\n  },\n",
-               build_type, std::thread::hardware_concurrency(), args.accounts,
-               args.shards, args.hot, template_bytes);
-  std::fprintf(f,
-               "  \"closed_loop\": {\n"
-               "    \"clients\": %zu,\n    \"ops\": %zu,\n"
-               "    \"ops_per_sec\": %.1f,\n"
-               "    \"update_ops_per_sec\": %.1f,\n    \"latency\": {\n",
-               closed.clients, closed.ops, closed.ops_per_sec,
-               closed.update_ops_per_sec);
-  json_pct(f, "store_put", closed.store_put, true);
-  json_pct(f, "update", closed.update, true);
-  json_pct(f, "store_get", closed.store_get, true);
-  json_pct(f, "search", closed.search, false);
-  std::fprintf(f, "    }\n  },\n  \"open_loop\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const OpenRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\n      \"qps_target\": %.0f,\n"
-                 "      \"qps_achieved\": %.1f,\n      \"ops\": %zu,\n"
-                 "      \"p50_us\": %.1f,\n      \"p95_us\": %.1f,\n"
-                 "      \"p99_us\": %.1f,\n      \"max_us\": %.1f,\n"
-                 "      \"per_op\": {\n",
-                 r.qps_target, r.qps_achieved, r.ops, r.all.p50 / 1e3,
-                 r.all.p95 / 1e3, r.all.p99 / 1e3, r.all.max / 1e3);
-    json_pct(f, "store", r.store, true);
-    json_pct(f, "update", r.update, true);
-    json_pct(f, "search", r.search, true);
-    json_pct(f, "retrieve", r.retrieve, true);
-    json_pct(f, "emergency", r.emergency, false);
-    std::fprintf(f, "      }\n    }%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"oracle\": {\n"
-               "    \"checked_keys\": %zu,\n    \"mutated_keys\": %zu,\n"
-               "    \"mismatches\": %zu,\n    \"self_check_ok\": %s,\n"
-               "    \"group_store_consistent\": %s,\n    \"pass\": %s\n"
-               "  }\n}\n",
-               oracle.checked, oracle.mutated, oracle.mismatches,
-               oracle.self_check_ok ? "true" : "false",
-               oracle.group_consistent ? "true" : "false",
-               oracle.pass() ? "true" : "false");
-  std::fclose(f);
+  auto context = [&](bench::Json& j) {
+    j.integer("accounts", args.accounts)
+        .integer("shards", args.shards)
+        .integer("hot_accounts", args.hot)
+        .integer("template_account_bytes", template_bytes);
+  };
+  auto body = [&](bench::Json& j) {
+    j.object("closed_loop")
+        .integer("clients", closed.clients)
+        .integer("ops", closed.ops)
+        .real("ops_per_sec", closed.ops_per_sec, 1)
+        .real("update_ops_per_sec", closed.update_ops_per_sec, 1)
+        .object("latency");
+    json_pct(j, "store_put", closed.store_put);
+    json_pct(j, "update", closed.update);
+    json_pct(j, "store_get", closed.store_get);
+    json_pct(j, "search", closed.search);
+    j.end().end().array("open_loop");
+    for (const OpenRow& r : rows) {
+      j.object()
+          .real("qps_target", r.qps_target, 0)
+          .real("qps_achieved", r.qps_achieved, 1)
+          .integer("ops", r.ops)
+          .real("p50_us", r.all.p50 / 1e3, 1)
+          .real("p95_us", r.all.p95 / 1e3, 1)
+          .real("p99_us", r.all.p99 / 1e3, 1)
+          .real("max_us", r.all.max / 1e3, 1)
+          .object("per_op");
+      json_pct(j, "store", r.store);
+      json_pct(j, "update", r.update);
+      json_pct(j, "search", r.search);
+      json_pct(j, "retrieve", r.retrieve);
+      json_pct(j, "emergency", r.emergency);
+      j.end().end();
+    }
+    j.end()
+        .object("oracle")
+        .integer("checked_keys", oracle.checked)
+        .integer("mutated_keys", oracle.mutated)
+        .integer("mismatches", oracle.mismatches)
+        .boolean("self_check_ok", oracle.self_check_ok)
+        .boolean("group_store_consistent", oracle.group_consistent)
+        .boolean("pass", oracle.pass())
+        .end();
+  };
+  bench::write_report(args.json_out, "bench_load", context, body);
 }
 
 }  // namespace
@@ -677,7 +662,6 @@ int main(int argc, char** argv) {
 
   if (args.json_out != nullptr) {
     write_json(args, templ.size(), closed, rows, orep);
-    std::printf("wrote %s\n", args.json_out);
   }
   fs::remove_all(args.dir);
   return orep.pass() ? 0 : 1;

@@ -12,15 +12,12 @@
 // mhi.ingest_ns obs histogram, not a bench-side timer.
 //
 // Plain main() harness (like bench_ledger): prints a table and, with
-// --json-out=PATH, a JSON report whose context records library_build_type
-// so tools/run_benchmarks.sh can refuse debug-build numbers.
-#include <chrono>
+// --json-out, a JSON report (bench/report.h).
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/core/mhi_stream.h"
 #include "src/curve/params.h"
@@ -29,6 +26,7 @@
 #include "src/peks/peks.h"
 
 using namespace hcpp;
+using bench::Row;
 
 namespace {
 
@@ -38,33 +36,6 @@ constexpr size_t kWindowSamples = 16;  // vital-sign samples per window
 
 const char* kDay = "2011-04-12";
 const char* kDayKeyword = "day:2011-04-12";
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-struct Row {
-  std::string workload;
-  double ops_per_sec;
-  std::string unit;
-};
-
-/// Runs `body` (performing `ops` unit operations per call) for at least
-/// `min_seconds` after one untimed warm-up and returns ops/sec.
-template <typename F>
-double measure(double min_seconds, size_t ops, F&& body) {
-  body();
-  size_t total_ops = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    body();
-    total_ops += ops;
-    elapsed = seconds_since(t0);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(total_ops) / elapsed;
-}
 
 peks::Variant variant_for(size_t i) {
   return (i % 2 == 0) ? peks::Variant::kBdop : peks::Variant::kRandomized;
@@ -89,7 +60,7 @@ std::vector<peks::PeksCiphertext> make_tags(const ibc::PublicParams& pub,
 
 Row bench_encrypt_cold(const ibc::PublicParams& pub, const std::string& role,
                        RandomSource& rng) {
-  double ops = measure(0.3, 4, [&] {
+  double ops = bench::measure(0.3, 4, [&] {
     for (size_t i = 0; i < 4; ++i) {
       peks::peks_encrypt(pub, role, "vitals:hr", rng, variant_for(i));
     }
@@ -100,7 +71,7 @@ Row bench_encrypt_cold(const ibc::PublicParams& pub, const std::string& role,
 Row bench_encrypt_cached(const ibc::PublicParams& pub, const std::string& role,
                          RandomSource& rng) {
   peks::PeksEncryptor enc(pub);  // warm-up call fills the g_r cache
-  double ops = measure(0.3, 4, [&] {
+  double ops = bench::measure(0.3, 4, [&] {
     for (size_t i = 0; i < 4; ++i) {
       enc.encrypt(role, "vitals:hr", rng, variant_for(i));
     }
@@ -113,7 +84,7 @@ Row bench_test_scalar(const curve::CurveCtx& ctx,
                       const peks::Trapdoor& td,
                       std::vector<uint8_t>* verdicts_out) {
   std::vector<uint8_t> verdicts(tags.size(), 0);
-  double ops = measure(0.6, tags.size(), [&] {
+  double ops = bench::measure(0.6, tags.size(), [&] {
     for (size_t i = 0; i < tags.size(); ++i) {
       verdicts[i] = peks::peks_test(ctx, tags[i], td) ? 1 : 0;
     }
@@ -127,7 +98,7 @@ Row bench_test_batch(const curve::CurveCtx& ctx,
                      const peks::Trapdoor& td,
                      std::vector<uint8_t>* verdicts_out) {
   std::vector<uint8_t> verdicts;
-  double ops = measure(0.6, tags.size(), [&] {
+  double ops = bench::measure(0.6, tags.size(), [&] {
     verdicts = peks::peks_test_batch(ctx, tags, td);
   });
   *verdicts_out = verdicts;
@@ -139,7 +110,7 @@ Row bench_stream_encode(const ibc::PublicParams& pub, const std::string& role,
   core::MhiIngestor ingestor(pub, role);
   core::MhiWindow win = core::generate_mhi_window(kDay, kWindowSamples, rng);
   std::vector<std::string> extra = {"vitals:anomalous"};
-  double ops = measure(0.3, 1, [&] {
+  double ops = bench::measure(0.3, 1, [&] {
     core::MhiIngestor::EncodedWindow enc = ingestor.encode(win, extra, rng);
     if (enc.peks_tags.size() != 2) std::abort();
   });
@@ -170,72 +141,17 @@ Row bench_stream_ingest(const curve::CurveCtx& ctx,
     tags.push_back(peks::PeksCiphertext::from_bytes(ctx, t));
   }
 
-  double ops = measure(0.3, 1, [&] {
+  double ops = bench::measure(0.3, 1, [&] {
     if (hub.ingest(role, tags, enc.ibe_blob) != 1) std::abort();
     (void)hub.drain_hits("dr-0");  // bound the queue during the run
   });
   return {"stream_ingest", ops, "windows/s"};
 }
 
-void write_json(const char* path, const std::vector<Row>& rows,
-                double encrypt_speedup, double test_speedup,
-                const obs::HistogramSummary& ingest_lat) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_mhi\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"candidate_tags\": %zu,\n"
-               "    \"standing_registrations\": %zu\n"
-               "  },\n  \"benchmarks\": [\n",
-               build_type, std::thread::hardware_concurrency(), kTags,
-               kRegistrations);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"ops_per_sec\": %.2f, "
-                 "\"unit\": \"%s\"}%s\n",
-                 r.workload.c_str(), r.ops_per_sec, r.unit.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"speedups\": {\n"
-               "    \"peks_encrypt_cached_vs_cold\": %.2f,\n"
-               "    \"peks_test_batch_vs_scalar\": %.2f\n  },\n"
-               "  \"ingest_latency_ns\": {\n"
-               "    \"source_histogram\": \"%s\",\n"
-               "    \"count\": %llu,\n"
-               "    \"p50\": %.1f,\n    \"p95\": %.1f,\n    \"p99\": %.1f,\n"
-               "    \"max\": %.1f\n  }\n}\n",
-               encrypt_speedup, test_speedup, obs::kMhiIngestNs,
-               static_cast<unsigned long long>(ingest_lat.count),
-               ingest_lat.percentile(0.50), ingest_lat.percentile(0.95),
-               ingest_lat.percentile(0.99), ingest_lat.max);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json-out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const char* json_out = bench::parse_json_out(argc, argv);
 
   const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kProduction);
   cipher::Drbg rng(to_bytes("bench-mhi"));
@@ -276,12 +192,8 @@ int main(int argc, char** argv) {
   obs::attach(&reg);
   rows.push_back(bench_stream_ingest(ctx, domain.pub(), role_key, role, rng));
   obs::attach(nullptr);
-  obs::HistogramSummary ingest_lat;
-  obs::Snapshot snap = reg.snapshot();
-  if (auto it = snap.histograms.find(obs::kMhiIngestNs);
-      it != snap.histograms.end()) {
-    ingest_lat = it->second;
-  }
+  obs::HistogramSummary ingest_lat =
+      bench::histogram_summary(reg, obs::kMhiIngestNs);
 
   double encrypt_speedup = rows[1].ops_per_sec / rows[0].ops_per_sec;
   double test_speedup = rows[3].ops_per_sec / rows[2].ops_per_sec;
@@ -301,8 +213,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ingest_lat.count));
 
   if (json_out != nullptr) {
-    write_json(json_out, rows, encrypt_speedup, test_speedup, ingest_lat);
-    std::printf("wrote %s\n", json_out);
+    bench::write_report(
+        json_out, "bench_mhi",
+        [](bench::Json& j) {
+          j.integer("candidate_tags", kTags)
+              .integer("standing_registrations", kRegistrations);
+        },
+        [&](bench::Json& j) {
+          bench::write_rows(j, rows);
+          j.object("speedups")
+              .real("peks_encrypt_cached_vs_cold", encrypt_speedup, 2)
+              .real("peks_test_batch_vs_scalar", test_speedup, 2)
+              .end();
+          bench::write_histogram(j, "ingest_latency_ns", obs::kMhiIngestNs,
+                                 ingest_lat);
+        });
   }
   return 0;
 }

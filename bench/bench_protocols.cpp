@@ -8,12 +8,15 @@
 //   * family emergency retrieval: two rounds (4 messages)
 //   * P-device emergency: the same two rounds + the A-server authentication
 //   * MHI storage/retrieval: one message per window / one round per query
+// With --json-out the rows are also written as a JSON report, and with
+// --metrics-out the run's metrics-registry snapshot (bench/report.h).
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/core/setup.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
@@ -44,13 +47,15 @@ int main(int argc, char** argv) {
   // counts, transport delivery stats, latency histograms) as JSON after the
   // protocol sweep. The registry is attached either way so the table and
   // the snapshot describe the same run.
+  const char* json_out = nullptr;
   const char* metrics_out = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
+    if (const char* path = bench::json_out_arg(argv[i])) {
+      json_out = path;
+    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
       metrics_out = argv[i] + 14;
     } else {
-      std::fprintf(stderr, "usage: %s [--metrics-out=PATH]\n", argv[0]);
-      return 2;
+      bench::usage(argv[0], "[--metrics-out=PATH] ");
     }
   }
   obs::attach(&obs::global());
@@ -136,16 +141,24 @@ int main(int argc, char** argv) {
       "(2); the P-device path\nadds only the 3-message role-based "
       "authentication — §V.B.2's \"one more round per security add-on\".\n");
 
+  if (json_out != nullptr) {
+    bench::write_report(json_out, "bench_protocols", {}, [&](bench::Json& j) {
+      j.array("benchmarks");
+      for (const PhaseRow& r : rows) {
+        j.object()
+            .string("name", r.phase)
+            .integer("messages", r.messages)
+            .integer("bytes", r.bytes)
+            .string("expectation", r.expectation)
+            .end();
+      }
+      j.end();
+    });
+  }
   if (metrics_out != nullptr) {
-    std::string json = obs::to_json(obs::global().snapshot());
-    std::FILE* f = std::fopen(metrics_out, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_out);
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    std::string snapshot = obs::to_json(obs::global().snapshot());
+    bench::write_report(metrics_out, "bench_protocols", {},
+                        [&](bench::Json& j) { j.members(snapshot); });
   }
   return 0;
 }

@@ -20,7 +20,7 @@ struct Row {
   size_t cipher_bytes;   // Λ at the server
 };
 
-Row measure(size_t n_files) {
+Row sizes_at(size_t n_files) {
   cipher::Drbg rng(to_bytes("bench-storage-" + std::to_string(n_files)));
   auto files = core::generate_phi_collection(n_files, rng);
   sse::Keys keys = sse::Keys::generate(rng);
@@ -38,15 +38,15 @@ int main() {
       "O(N))\n");
   std::printf("%10s %18s %18s %18s %14s\n", "N files", "patient bytes",
               "server SI bytes", "server file bytes", "SI bytes/file");
-  Row base = measure(8);
+  Row base = sizes_at(8);
   for (size_t n : {8u, 32u, 128u, 512u, 2048u}) {
-    Row r = (n == 8) ? base : measure(n);
+    Row r = (n == 8) ? base : sizes_at(n);
     std::printf("%10zu %18zu %18zu %18zu %14.1f\n", r.n_files,
                 r.patient_bytes, r.index_bytes, r.cipher_bytes,
                 static_cast<double>(r.index_bytes) /
                     static_cast<double>(r.n_files));
   }
-  Row big = measure(2048);
+  Row big = sizes_at(2048);
   bool patient_constant = big.patient_bytes == base.patient_bytes;
   double server_ratio = static_cast<double>(big.index_bytes) /
                         static_cast<double>(base.index_bytes);

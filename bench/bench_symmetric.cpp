@@ -4,8 +4,6 @@
 // work is "computationally-efficient symmetric key operations".
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 #include "src/cipher/aead.h"
 #include "src/cipher/aes.h"
 #include "src/cipher/chacha20.h"
@@ -18,21 +16,14 @@ namespace {
 
 using namespace hcpp;
 
-/// Scoped HCPP_FORCE_GENERIC override for the kernel-ablation benchmarks.
+/// Scoped forced-generic switch for the kernel-ablation benchmarks.
 class ForceGeneric {
  public:
-  explicit ForceGeneric(bool on) {
-    if (on) {
-      ::setenv("HCPP_FORCE_GENERIC", "1", 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
-  ~ForceGeneric() {
-    ::unsetenv("HCPP_FORCE_GENERIC");
-    mp::refresh_dispatch();
-  }
+  explicit ForceGeneric(bool on) : prev_(mp::set_force_generic(on)) {}
+  ~ForceGeneric() { mp::set_force_generic(prev_); }
+
+ private:
+  bool prev_;
 };
 
 void BM_ChaCha20(benchmark::State& state) {
@@ -46,7 +37,7 @@ void BM_ChaCha20(benchmark::State& state) {
 BENCHMARK(BM_ChaCha20)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
 
 // Kernel-variant ablation for the dispatched block generator: Arg(0) == 0
-// pins the scalar RFC 8439 core (HCPP_FORCE_GENERIC), Arg(0) == 1 lets the
+// pins the scalar RFC 8439 core (forced generic), Arg(0) == 1 lets the
 // runtime dispatcher pick (4-way AVX2 where the CPU has it). The label
 // records which kernel actually ran, so JSON rows stay comparable across
 // hosts.

@@ -1,7 +1,7 @@
 // Throughput vs thread count for the parallel execution layer (src/par):
 // SSE index build, concurrent SEARCH serving (core::SearchService),
 // collection AEAD (encrypt + decrypt) and batch IBS verification, each at
-// 1/2/4/8 threads. Prints a table and, with --json-out=PATH, a JSON report
+// 1/2/4/8 threads. Prints a table and, with --json-out, a JSON report
 // whose context records the hardware so single-core containers are honest
 // about flat scaling ("speedup_note").
 //
@@ -9,15 +9,13 @@
 // whole operations is the quantity of interest, not ns/op distributions.
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/cipher/chacha20.h"
 #include "src/cipher/drbg.h"
 #include "src/mp/dispatch.h"
@@ -29,39 +27,11 @@
 #include "src/sse/sse.h"
 
 using namespace hcpp;
+using bench::Row;
 
 namespace {
 
 constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-struct Row {
-  std::string workload;
-  size_t threads;
-  double ops_per_sec;  // workload-specific unit, see `unit`
-  std::string unit;
-};
-
-// Runs `body` (which performs `ops` unit operations) repeatedly for at
-// least `min_seconds` and returns ops/sec.
-template <typename F>
-double measure(double min_seconds, size_t ops, F&& body) {
-  // Warm-up: one untimed run (pool spin-up, curve cache population).
-  body();
-  size_t total_ops = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    body();
-    total_ops += ops;
-    elapsed = seconds_since(t0);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(total_ops) / elapsed;
-}
 
 std::vector<sse::PlainFile> make_files(size_t n) {
   cipher::Drbg rng(to_bytes("bench-throughput-files"));
@@ -72,13 +42,13 @@ Row bench_index_build(size_t threads, std::span<const sse::PlainFile> files) {
   cipher::Drbg krng(to_bytes("bt-index-keys"));
   sse::Keys keys = sse::Keys::generate(krng);
   par::ThreadPool pool(threads, "bt-index");
-  double ops = measure(0.5, files.size(), [&] {
+  double ops = bench::measure(0.5, files.size(), [&] {
     cipher::Drbg rng(to_bytes("bt-index-rng"));
     sse::SecureIndex si =
         sse::build_index(files, keys, rng, 1.25, &pool);
     if (si.array_a.empty()) std::abort();  // keep the work observable
   });
-  return {"index_build", threads, ops, "files/s"};
+  return {"index_build", ops, "files/s", threads};
 }
 
 Row bench_search(size_t threads, core::Deployment& d) {
@@ -102,11 +72,11 @@ Row bench_search(size_t threads, core::Deployment& d) {
         sse::wrap_trapdoor(dkey, gen.make(core::keyword_alias(kw, 0))));
     queries.push_back(std::move(p));
   }
-  double ops = measure(0.5, queries.size(), [&] {
+  double ops = bench::measure(0.5, queries.size(), [&] {
     std::vector<core::SearchService::Result> res = svc.search_batch(queries);
     if (res.size() != queries.size()) std::abort();
   });
-  return {"search", threads, ops, "queries/s"};
+  return {"search", ops, "queries/s", threads};
 }
 
 Row bench_collection_aead(size_t threads,
@@ -114,7 +84,7 @@ Row bench_collection_aead(size_t threads,
   cipher::Drbg krng(to_bytes("bt-aead-keys"));
   sse::Keys keys = sse::Keys::generate(krng);
   par::ThreadPool pool(threads, "bt-aead");
-  double ops = measure(0.5, 2 * files.size(), [&] {
+  double ops = bench::measure(0.5, 2 * files.size(), [&] {
     cipher::Drbg rng(to_bytes("bt-aead-rng"));
     sse::EncryptedCollection ec =
         sse::encrypt_collection(files, keys, rng, &pool);
@@ -122,20 +92,20 @@ Row bench_collection_aead(size_t threads,
         sse::decrypt_collection(keys, ec, &pool);
     if (back.size() != files.size()) std::abort();
   });
-  return {"collection_aead", threads, ops, "files/s"};
+  return {"collection_aead", ops, "files/s", threads};
 }
 
 Row bench_ibs_batch(size_t threads, const ibc::Domain& domain,
                     std::span<const ibc::IbsBatchItem> items) {
   par::ThreadPool pool(threads, "bt-ibs");
-  double ops = measure(0.5, items.size(), [&] {
+  double ops = bench::measure(0.5, items.size(), [&] {
     std::vector<uint8_t> ok =
         ibc::ibs_verify_batch(domain.pub(), items, &pool);
     for (uint8_t v : ok) {
       if (!v) std::abort();
     }
   });
-  return {"ibs_verify_batch", threads, ops, "sigs/s"};
+  return {"ibs_verify_batch", ops, "sigs/s", threads};
 }
 
 // Single-thread ChaCha20 bulk-xor row per kernel variant: chacha20_xor_avx2
@@ -143,81 +113,25 @@ Row bench_ibs_batch(size_t threads, const ibc::Domain& domain,
 // core and the names coincide at "generic"). This is the cipher half of the
 // collection_aead speedup, isolated from AEAD framing and the pool.
 Row bench_chacha_xor(bool force_generic) {
-  if (force_generic) {
-    ::setenv("HCPP_FORCE_GENERIC", "1", 1);
-  } else {
-    ::unsetenv("HCPP_FORCE_GENERIC");
-  }
-  mp::refresh_dispatch();
+  const bool prev = mp::set_force_generic(force_generic);
   std::array<uint8_t, cipher::kChaChaKeySize> key{};
   std::array<uint8_t, cipher::kChaChaNonceSize> nonce{};
   key.fill(0x42);
   nonce.fill(0x17);
   Bytes buf(1 << 20, 0x5a);
-  double ops = measure(0.5, 1, [&] {
+  double ops = bench::measure(0.5, 1, [&] {
     cipher::chacha20_xor(key, nonce, 0, buf);
   });
   std::string workload =
       std::string("chacha20_xor_") + cipher::chacha20_kernel_name();
-  ::unsetenv("HCPP_FORCE_GENERIC");
-  mp::refresh_dispatch();
-  return {workload, 1, ops, "MiB/s"};
-}
-
-void write_json(const char* path, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  const auto& feat = mp::cpu_features();
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_throughput\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"cpu_features\": {\"bmi2\": %s, \"adx\": %s, "
-               "\"avx2\": %s},\n"
-               "    \"mont_kernel\": \"%s\",\n"
-               "    \"chacha_kernel\": \"%s\",\n"
-               "    \"speedup_note\": \"thread scaling is bounded by "
-               "hardware_concurrency; on a single-core host all thread "
-               "counts measure the same core\"\n  },\n  \"benchmarks\": [\n",
-               build_type, std::thread::hardware_concurrency(),
-               feat.bmi2 ? "true" : "false", feat.adx ? "true" : "false",
-               feat.avx2 ? "true" : "false", mp::mont_kernel_name(),
-               cipher::chacha20_kernel_name());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s/threads:%zu\", \"workload\": \"%s\", "
-                 "\"threads\": %zu, \"ops_per_sec\": %.2f, \"unit\": "
-                 "\"%s\"}%s\n",
-                 r.workload.c_str(), r.threads, r.workload.c_str(), r.threads,
-                 r.ops_per_sec, r.unit.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  mp::set_force_generic(prev);
+  return {workload, ops, "MiB/s", 1};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json-out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const char* json_out = bench::parse_json_out(argc, argv);
 
   auto files = make_files(64);
 
@@ -264,8 +178,15 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   if (json_out != nullptr) {
-    write_json(json_out, rows);
-    std::printf("wrote %s\n", json_out);
+    bench::write_report(
+        json_out, "bench_throughput",
+        [](bench::Json& j) {
+          j.string("speedup_note",
+                   "thread scaling is bounded by hardware_concurrency; on a "
+                   "single-core host all thread counts measure the same "
+                   "core");
+        },
+        [&](bench::Json& j) { bench::write_rows(j, rows); });
   }
   return 0;
 }

@@ -179,16 +179,13 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
   std::vector<std::optional<EmergencyAuthOutcome>> out(reqs.size());
   if (reqs.empty()) return out;
 
-  // Freshness and signature decoding stay serial and in arrival order, so a
-  // duplicate inside the batch hits the replay cache exactly as it would
-  // have arriving one request later. On-duty physicians' links are built
-  // here too, before any pool work reads them.
+  // Signature decoding is serial and in arrival order. On-duty physicians'
+  // links are built here too, before any pool work reads them.
   PairingCoalescer co(pub());
   constexpr size_t kNone = static_cast<size_t>(-1);
   std::vector<size_t> ticket(reqs.size(), kNone);
   for (size_t i = 0; i < reqs.size(); ++i) {
     const EmergencyAuthRequest& req = reqs[i];
-    if (!fresh(req)) continue;
     try {
       ibc::IbsSignature sig =
           ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
@@ -201,10 +198,14 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
   }
 
   // One drain: all verification pairings fused and final-exponentiated
-  // together (coalesce.h).
+  // together (coalesce.h). Only verified requests then reach the replay
+  // cache, serially and in arrival order, so a duplicate inside the batch is
+  // refused exactly as it would have been arriving one request later, and a
+  // forged copy never burns the genuine request's tag.
   PairingCoalescer::Drained drained = co.drain(pool);
   for (size_t i = 0; i < reqs.size(); ++i) {
     if (ticket[i] == kNone || !drained.ibs_ok[ticket[i]]) continue;
+    if (!fresh(reqs[i])) continue;
     out[i] = finish_emergency_auth(reqs[i]);
   }
   return out;

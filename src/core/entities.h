@@ -161,18 +161,18 @@ class AServer {
   bool fresh(const Req& req) {
     return net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs);
   }
-  /// Preamble of the physician-signed handlers: freshness, then the
-  /// physician's IBS over the request body.
+  /// Preamble of the physician-signed handlers: the physician's IBS over
+  /// the request body, then the replay cache — in that order, so a forged
+  /// copy of a genuine request never burns the genuine request's tag.
   template <typename Req>
   bool authenticate(const Req& req) {
-    if (!fresh(req)) return false;
     ibc::IbsSignature sig;
     try {
       sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
     } catch (const std::exception&) {
       return false;
     }
-    return verify_physician(req.physician_id, req.body(), sig);
+    return verify_physician(req.physician_id, req.body(), sig) && fresh(req);
   }
   /// Γ_A's precomputed signer, built on first use.
   const ibc::IbsSigner& signer();

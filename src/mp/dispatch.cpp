@@ -56,8 +56,8 @@ const CpuFeatures& cpu_features() {
 
 bool force_generic() { return g_force_generic.load(std::memory_order_relaxed); }
 
-void refresh_dispatch() {
-  g_force_generic.store(read_force_generic_env(), std::memory_order_relaxed);
+bool set_force_generic(bool on) {
+  return g_force_generic.exchange(on, std::memory_order_relaxed);
 }
 
 }  // namespace hcpp::mp

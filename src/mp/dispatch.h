@@ -11,8 +11,8 @@
 // HCPP_FORCE_GENERIC=1 in the environment forces every dispatcher back to the
 // portable path. This is the differential-testing knob: the same binary runs
 // its test suite twice (fast and generic) and the outputs must be identical.
-// The env variable is sampled once and cached; tests that flip it in-process
-// call refresh() to re-read it.
+// The env variable seeds the switch at process start; tests and benches that
+// compare both variants in one process flip it with set_force_generic().
 
 namespace hcpp::mp {
 
@@ -26,11 +26,13 @@ struct CpuFeatures {
 // non-x86-64 builds.
 const CpuFeatures& cpu_features();
 
-// True when HCPP_FORCE_GENERIC is set to a non-empty value other than "0".
+// True when every dispatcher is forced to the portable path: initially when
+// HCPP_FORCE_GENERIC is set to a non-empty value other than "0".
 bool force_generic();
 
-// Re-reads HCPP_FORCE_GENERIC from the environment. Only needed by tests
-// that toggle the knob inside one process; ordinary code never calls this.
-void refresh_dispatch();
+// Sets the switch force_generic() reports and returns its previous value.
+// Only tests and benches that compare both variants inside one process call
+// this; ordinary code never does.
+bool set_force_generic(bool on);
 
 }  // namespace hcpp::mp

@@ -12,10 +12,9 @@ using uint128 = unsigned __int128;
 
 namespace {
 
-// Whether the fixed-width MULX/ADX kernels are usable on this host. Sampled
-// once per MontCtx construction so a context keeps one kernel for its whole
-// lifetime (HCPP_FORCE_GENERIC toggles only affect contexts built after a
-// refresh_dispatch()).
+// Whether the n = 8 MULX/ADX kernels are usable on this host. Sampled once
+// per MontCtx construction so a context keeps one kernel for its whole
+// lifetime (set_force_generic() only affects contexts built after it).
 bool mulx_available() noexcept {
   return mulx::compiled() && cpu_features().bmi2 && cpu_features().adx &&
          !force_generic();
@@ -276,7 +275,7 @@ MontCtx::MontCtx(const U512& modulus) : m_(modulus) {
   }
   n_ = (m_.bit_length() + 63) / 64;
   n0inv_ = neg_inv64(m_.w[0]);
-  mulx_ = (n_ == 4 || n_ == 8) && mulx_available();
+  mulx_ = n_ == 8 && mulx_available();
   // R mod m with R = 2^{64n}: take (R − 1) mod m (all-ones over the active
   // limbs) then add 1 (mod m).
   U512 r_minus1;
@@ -314,13 +313,7 @@ U512 MontCtx::mul(const U512& a, const U512& b) const noexcept {
   U512 r;
   switch (n_) {
     case 4:
-      if (mulx_) {
-        mulx::cios_mul4(r.w.data(), a.w.data(), b.w.data(), m_.w.data(),
-                        n0inv_);
-      } else {
-        cios_mul<4>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n0inv_,
-                    4);
-      }
+      cios_mul<4>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n0inv_, 4);
       break;
     case 8:
       if (mulx_) {
@@ -412,15 +405,9 @@ void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
   U512 re, im;  // locals: the outputs may alias the inputs
   switch (n_) {
     case 4:
-      if (mulx_) {
-        mulx::fp2_mul4(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_,
-                       mm2_.data());
-      } else {
-        fp2_mul_impl<4>(re.w.data(), im.w.data(), a_re.w.data(),
-                        a_im.w.data(), b_re.w.data(), b_im.w.data(),
-                        m_.w.data(), n0inv_, mm2_.data(), 4);
-      }
+      fp2_mul_impl<4>(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
+                      b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_,
+                      mm2_.data(), 4);
       break;
     case 8:
       if (mulx_) {
@@ -448,13 +435,8 @@ void MontCtx::fp2_sqr(U512& c_re, U512& c_im, const U512& a_re,
   U512 re, im;
   switch (n_) {
     case 4:
-      if (mulx_) {
-        mulx::fp2_sqr4(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       m_.w.data(), n0inv_);
-      } else {
-        fp2_sqr_impl<4>(re.w.data(), im.w.data(), a_re.w.data(),
-                        a_im.w.data(), m_.w.data(), n0inv_, 4);
-      }
+      fp2_sqr_impl<4>(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
+                      m_.w.data(), n0inv_, 4);
       break;
     case 8:
       if (mulx_) {

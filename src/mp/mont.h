@@ -4,7 +4,8 @@
 // derived from the modulus width (R = 2^{64n}), so a 256-bit modulus pays
 // for 4-limb kernels instead of the full 8-limb storage width; the hot
 // paths dispatch to unrolled fixed-width kernels for n = 4 (test set) and
-// n = 8 (production set), with a generic any-width loop as fallback.
+// n = 8 (production set; MULX/ADX where the CPU has it), with a generic
+// any-width loop as fallback.
 #pragma once
 
 #include <span>
@@ -24,8 +25,8 @@ class MontCtx {
   /// Active limb count n: R = 2^{64n} with n = ceil(bits(m)/64).
   [[nodiscard]] size_t limbs() const noexcept { return n_; }
   /// Which multiply kernel this context dispatches to: "mulx-adx" when the
-  /// fixed-width BMI2/ADX path was selected at construction (CPU supports
-  /// both extensions and HCPP_FORCE_GENERIC is unset), "generic" otherwise.
+  /// n = 8 BMI2/ADX path was selected at construction (CPU supports both
+  /// extensions and the generic kernels are not forced), "generic" otherwise.
   [[nodiscard]] const char* kernel_name() const noexcept {
     return mulx_ ? "mulx-adx" : "generic";
   }
@@ -67,7 +68,7 @@ class MontCtx {
   U512 m_;
   size_t n_ = kLimbs;   // active limbs, R = 2^{64 n_}
   uint64_t n0inv_ = 0;  // -m^{-1} mod 2^64
-  bool mulx_ = false;   // fixed-width MULX/ADX kernels selected (n = 4 or 8)
+  bool mulx_ = false;   // n = 8 MULX/ADX kernels selected
   U512 r2_;             // R^2 mod m
   U512 r3_;             // R^3 mod m
   U512 one_;            // R mod m
@@ -78,7 +79,7 @@ class MontCtx {
   std::array<uint64_t, 2 * kLimbs + 2> mm2_{};
 };
 
-/// The kernel variant a freshly constructed fixed-width (n = 4 or 8) MontCtx
+/// The kernel variant a freshly constructed production-width (n = 8) MontCtx
 /// would dispatch to on this host right now: "mulx-adx" or "generic".
 /// Benchmarks record this in their JSON context so numbers are comparable
 /// across machines.

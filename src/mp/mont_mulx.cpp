@@ -244,29 +244,15 @@ void fp2_sqr_mulx(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
 
 bool compiled() noexcept { return true; }
 
-void cios_mul4(uint64_t* r, const uint64_t* a, const uint64_t* b,
-               const uint64_t* m, uint64_t n0inv) noexcept {
-  cios_mul_impl<4>(r, a, b, m, n0inv);
-}
 void cios_mul8(uint64_t* r, const uint64_t* a, const uint64_t* b,
                const uint64_t* m, uint64_t n0inv) noexcept {
   cios_mul_impl<8>(r, a, b, m, n0inv);
-}
-void fp2_mul4(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
-              const uint64_t* ai, const uint64_t* br, const uint64_t* bi,
-              const uint64_t* m, uint64_t n0inv,
-              const uint64_t* mm2) noexcept {
-  fp2_mul_mulx<4>(c_re, c_im, ar, ai, br, bi, m, n0inv, mm2);
 }
 void fp2_mul8(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
               const uint64_t* ai, const uint64_t* br, const uint64_t* bi,
               const uint64_t* m, uint64_t n0inv,
               const uint64_t* mm2) noexcept {
   fp2_mul_mulx<8>(c_re, c_im, ar, ai, br, bi, m, n0inv, mm2);
-}
-void fp2_sqr4(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
-              const uint64_t* ai, const uint64_t* m, uint64_t n0inv) noexcept {
-  fp2_sqr_mulx<4>(c_re, c_im, ar, ai, m, n0inv);
 }
 void fp2_sqr8(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
               const uint64_t* ai, const uint64_t* m, uint64_t n0inv) noexcept {
@@ -279,26 +265,13 @@ void fp2_sqr8(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
 // MontCtx never selects this path when compiled() is false.
 bool compiled() noexcept { return false; }
 
-void cios_mul4(uint64_t*, const uint64_t*, const uint64_t*, const uint64_t*,
-               uint64_t) noexcept {
-  std::abort();
-}
 void cios_mul8(uint64_t*, const uint64_t*, const uint64_t*, const uint64_t*,
                uint64_t) noexcept {
-  std::abort();
-}
-void fp2_mul4(uint64_t*, uint64_t*, const uint64_t*, const uint64_t*,
-              const uint64_t*, const uint64_t*, const uint64_t*, uint64_t,
-              const uint64_t*) noexcept {
   std::abort();
 }
 void fp2_mul8(uint64_t*, uint64_t*, const uint64_t*, const uint64_t*,
               const uint64_t*, const uint64_t*, const uint64_t*, uint64_t,
               const uint64_t*) noexcept {
-  std::abort();
-}
-void fp2_sqr4(uint64_t*, uint64_t*, const uint64_t*, const uint64_t*,
-              const uint64_t*, uint64_t) noexcept {
   std::abort();
 }
 void fp2_sqr8(uint64_t*, uint64_t*, const uint64_t*, const uint64_t*,

@@ -1,6 +1,7 @@
 #pragma once
-// MULX/ADX (BMI2 + ADX) variants of the unrolled fixed-width Montgomery
-// kernels in mont.cpp. This translation unit is compiled with -mbmi2 -madx
+// MULX/ADX (BMI2 + ADX) variants of the unrolled production-width (n = 8)
+// Montgomery kernels in mont.cpp. There are no n = 4 twins: at the 256-bit
+// test width the portable kernel is faster (EXPERIMENTS.md, MULX A/B). This translation unit is compiled with -mbmi2 -madx
 // (see src/CMakeLists.txt) and is only ever entered after mp::cpu_features()
 // reports both extensions at runtime, so the library binary itself stays
 // portable x86-64. Each entry point computes bit-for-bit the same result as
@@ -19,22 +20,15 @@ namespace hcpp::mp::mulx {
 // check the runtime CPU flags before dispatching here.
 bool compiled() noexcept;
 
-// CIOS Montgomery product r = a·b·R^{-1} mod m over 4 resp. 8 limbs.
-void cios_mul4(uint64_t* r, const uint64_t* a, const uint64_t* b,
-               const uint64_t* m, uint64_t n0inv) noexcept;
+// CIOS Montgomery product r = a·b·R^{-1} mod m over 8 limbs.
 void cios_mul8(uint64_t* r, const uint64_t* a, const uint64_t* b,
                const uint64_t* m, uint64_t n0inv) noexcept;
 
 // Lazy-reduction Fp2 product / square (same accumulator layout and bias
 // constant mm2 = 2m^2 as the portable fp2_mul_impl / fp2_sqr_impl).
-void fp2_mul4(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
-              const uint64_t* ai, const uint64_t* br, const uint64_t* bi,
-              const uint64_t* m, uint64_t n0inv, const uint64_t* mm2) noexcept;
 void fp2_mul8(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
               const uint64_t* ai, const uint64_t* br, const uint64_t* bi,
               const uint64_t* m, uint64_t n0inv, const uint64_t* mm2) noexcept;
-void fp2_sqr4(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
-              const uint64_t* ai, const uint64_t* m, uint64_t n0inv) noexcept;
 void fp2_sqr8(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
               const uint64_t* ai, const uint64_t* m, uint64_t n0inv) noexcept;
 

@@ -6,8 +6,6 @@
 // degrade to self-consistency checks, so the suite passes everywhere.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "src/cipher/chacha20.h"
@@ -20,33 +18,14 @@
 namespace hcpp {
 namespace {
 
-/// Scoped HCPP_FORCE_GENERIC toggle; restores the previous value and
-/// re-reads the dispatch state on destruction.
+/// Scoped forced-generic switch; restores the previous value on destruction.
 class ForceGenericGuard {
  public:
-  explicit ForceGenericGuard(bool on) {
-    const char* prev = std::getenv("HCPP_FORCE_GENERIC");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (on) {
-      ::setenv("HCPP_FORCE_GENERIC", "1", 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
-  ~ForceGenericGuard() {
-    if (had_prev_) {
-      ::setenv("HCPP_FORCE_GENERIC", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
+  explicit ForceGenericGuard(bool on) : prev_(mp::set_force_generic(on)) {}
+  ~ForceGenericGuard() { mp::set_force_generic(prev_); }
 
  private:
-  bool had_prev_ = false;
-  std::string prev_;
+  bool prev_;
 };
 
 // ---- ChaCha20: dispatched bulk kernel vs the one-block scalar core ---------

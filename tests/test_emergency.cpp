@@ -323,6 +323,72 @@ TEST(EmergencyPrecomp, UnregisteredPhysicianIdsAddNoCacheEntries) {
   EXPECT_EQ(d.aserver->physician_cache_size(), 0u);
 }
 
+// ---- A forged copy does not burn the genuine request's replay tag ----------
+//
+// The A-server keys its replay cache by the request's IBS bytes. A copy of a
+// genuine request carrying the same signature over an altered body must be
+// refused without entering the cache, so the genuine request that follows
+// is still accepted.
+
+EmergencyAuthRequest signed_auth_request(Deployment& d, cipher::Drbg& rng) {
+  const std::string id = d.on_duty->id();
+  EmergencyAuthRequest req;
+  req.physician_id = id;
+  req.tp = d.patient->tp_bytes();
+  req.t = d.net->clock().now();
+  req.sig = ibc::ibs_sign(d.aserver->ctx(), d.aserver->provision(id), id,
+                          req.body(), rng)
+                .to_bytes();
+  return req;
+}
+
+EmergencyAuthRequest forged_copy(const EmergencyAuthRequest& genuine) {
+  EmergencyAuthRequest forged = genuine;
+  forged.tp.back() ^= 1;  // altered body, genuine signature bytes
+  return forged;
+}
+
+TEST(ReplayTag, ForgedEmergencyAuthLeavesGenuineAccepted) {
+  Deployment d = Deployment::create(small_config(23));
+  cipher::Drbg rng(to_bytes("forged-auth"));
+  EmergencyAuthRequest genuine = signed_auth_request(d, rng);
+  EXPECT_FALSE(
+      d.aserver->handle_emergency_auth(forged_copy(genuine)).has_value());
+  EXPECT_TRUE(d.aserver->handle_emergency_auth(genuine).has_value());
+  // The genuine request did enter the cache: its replay is refused.
+  EXPECT_FALSE(d.aserver->handle_emergency_auth(genuine).has_value());
+}
+
+TEST(ReplayTag, ForgedEmergencyAuthInBatchLeavesGenuineAccepted) {
+  Deployment d = Deployment::create(small_config(24));
+  cipher::Drbg rng(to_bytes("forged-auth-batch"));
+  EmergencyAuthRequest genuine = signed_auth_request(d, rng);
+  std::vector<EmergencyAuthRequest> batch = {forged_copy(genuine), genuine};
+  std::vector<std::optional<AServer::EmergencyAuthOutcome>> got =
+      d.aserver->handle_emergency_auth_batch(batch);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_FALSE(got[0].has_value());
+  EXPECT_TRUE(got[1].has_value());
+}
+
+TEST(ReplayTag, ForgedRoleKeyRequestLeavesGenuineAccepted) {
+  Deployment d = Deployment::create(small_config(25));
+  cipher::Drbg rng(to_bytes("forged-role-key"));
+  const std::string id = d.on_duty->id();
+  RoleKeyRequest genuine;
+  genuine.physician_id = id;
+  genuine.role_id = "2011-04-12|emergency|gainesville";
+  genuine.t = d.net->clock().now();
+  genuine.sig = ibc::ibs_sign(d.aserver->ctx(), d.aserver->provision(id), id,
+                              genuine.body(), rng)
+                    .to_bytes();
+  RoleKeyRequest forged = genuine;
+  forged.role_id = "2011-04-12|oncology|gainesville";
+  EXPECT_FALSE(d.aserver->handle_role_key_request(forged).has_value());
+  EXPECT_TRUE(d.aserver->handle_role_key_request(genuine).has_value());
+  EXPECT_FALSE(d.aserver->handle_role_key_request(genuine).has_value());
+}
+
 // ---- Tampered blobs are skipped, and counted -------------------------------
 
 /// Flips one byte in the middle of the stored blob of `file` by round-tripping

@@ -4,9 +4,9 @@
 //   {"bmi2": true, "adx": true, "avx2": true, "force_generic": false,
 //    "mont_kernel": "mulx-adx", "chacha_kernel": "avx2"}
 //
-// tools/run_benchmarks.sh runs this and injects the result into the context
-// block of every BENCH_*.json, so throughput numbers are comparable across
-// machines. Honors HCPP_FORCE_GENERIC like the library itself.
+// The same fields head the context block of every BENCH_*.json (written by
+// bench/report.h). Honors HCPP_FORCE_GENERIC like the library itself;
+// mont_kernel is what a production-width (n = 8) context selects.
 #include <cstdio>
 
 #include "src/cipher/chacha20.h"

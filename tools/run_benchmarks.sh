@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Runs the pairing and protocol benchmark suites and drops their
-# google-benchmark JSON reports at the repo root:
+# Runs the bench suites and drops their JSON reports at the repo root:
 #   BENCH_pairing.json    — bench_computation (pairing + primitive costs)
-#   BENCH_protocols.json  — bench_protocols (end-to-end protocol runs)
+#   BENCH_protocols.json  — bench_protocols (messages and bytes per protocol
+#                           phase, E3 / §V.B.2)
 #   BENCH_metrics.json    — bench_protocols metrics-registry snapshot
 #                           (crypto-op counters, transport stats, latency
 #                           histograms with p50/p95/p99)
@@ -41,18 +41,22 @@
 # CMAKE_BUILD_TYPE (BENCH_BUILD_TYPE, default Release; RelWithDebInfo also
 # accepted) so numbers are never taken from an accidental debug build, and
 # defaults to a dedicated build-bench/ directory so it cannot repurpose a
-# developer's test build tree. Repetitions can be raised with BENCH_REPS
-# (default 1). After the run, the google-benchmark JSON context is checked:
-# a report whose "library_build_type" is "debug" is deleted and the script
-# aborts. (The prebuilt libbenchmark.so reports its own build type, not the
-# binary's, so bench_computation substitutes a reporter that derives the
-# field from the bench binary's NDEBUG — the thing actually measured.)
+# developer's test build tree. Repetitions of the google-benchmark suites can
+# be raised with BENCH_REPS (default 1); BENCH_SSE_FILTER narrows bench_sse
+# for smoke runs.
+#
+# Every binary writes its report in-process through bench/report.h, whose
+# context block records the source binary, library_build_type (from the
+# bench build's NDEBUG — the prebuilt libbenchmark's own field describes the
+# library, not the code measured), hardware_concurrency, the CPU feature
+# flags and the kernel variants the runtime dispatcher selected (mont_kernel:
+# generic|mulx-adx, chacha_kernel: generic|avx2).
+#
 # Fails fast: a missing binary after the build, or a bench exiting non-zero,
-# aborts the whole run rather than leaving stale report files behind.
-# Every report's context block additionally records the host's CPU feature
-# flags and the kernel variants the runtime dispatcher selected
-# (mont_kernel: generic|mulx-adx, chacha_kernel: generic|avx2), via the
-# hcpp_cpuinfo helper, so numbers are attributable to a kernel.
+# aborts the whole run. After the run one check covers every report: a
+# report whose library_build_type is not "release" is deleted and the script
+# aborts, and so is a ledger or MHI report without latency samples or a load
+# report whose differential oracle failed.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -69,14 +73,13 @@ case "$build_type" in
     ;;
 esac
 
+benches=(bench_computation bench_protocols bench_throughput bench_ledger
+         bench_load bench_sse bench_mhi)
 cmake -B "$build_dir" -S "$repo_root" -DHCPP_BENCH=ON \
   -DCMAKE_BUILD_TYPE="$build_type"
-cmake --build "$build_dir" -j "$(nproc)" \
-  --target bench_computation bench_protocols bench_throughput bench_ledger \
-           bench_load bench_sse bench_mhi hcpp_cpuinfo
+cmake --build "$build_dir" -j "$(nproc)" --target "${benches[@]}"
 
-for bin in bench_computation bench_protocols bench_throughput bench_ledger \
-           bench_load bench_sse bench_mhi; do
+for bin in "${benches[@]}"; do
   if [[ ! -x "$build_dir/bench/$bin" ]]; then
     echo "error: $build_dir/bench/$bin still missing after the build" \
          "(HCPP_BENCH=OFF in the cache?)" >&2
@@ -84,192 +87,50 @@ for bin in bench_computation bench_protocols bench_throughput bench_ledger \
   fi
 done
 
-# CPU feature flags and the kernel variants the dispatcher selected on this
-# host (mont: generic|mulx-adx, chacha: generic|avx2). Injected into every
-# report's context below so numbers are attributable to a kernel.
-cpuinfo_json="$("$build_dir/tools/hcpp_cpuinfo")"
-echo "cpuinfo: $cpuinfo_json"
-
-# Adds {"cpu_features": {...}, "mont_kernel": ..., "chacha_kernel": ...} to
-# the "context" object of the report named in $1.
-inject_cpuinfo() {
-  python3 - "$1" "$cpuinfo_json" <<'EOF'
-import json, sys
-path, info = sys.argv[1], json.loads(sys.argv[2])
-with open(path) as f:
-    report = json.load(f)
-ctx = report.setdefault("context", {})
-ctx["cpu_features"] = {k: info[k] for k in ("bmi2", "adx", "avx2")}
-ctx["mont_kernel"] = info["mont_kernel"]
-ctx["chacha_kernel"] = info["chacha_kernel"]
-with open(path, "w") as f:
-    json.dump(report, f, indent=2)
-    f.write("\n")
-EOF
-}
-
-# bench_computation is a google-benchmark binary: native JSON report.
-"$build_dir/bench/bench_computation" \
-  --benchmark_repetitions="$reps" \
-  --benchmark_out_format=json \
-  --benchmark_out="$repo_root/BENCH_pairing.json" >/dev/null
-
-# Refuse to publish numbers measured from a debug build.
-python3 - "$repo_root/BENCH_pairing.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-build = report.get("context", {}).get("library_build_type", "missing")
-if build != "release":
-    import os
-    os.unlink(path)
-    sys.exit(f"error: benchmark report says library_build_type={build!r}; "
-             "refusing to keep numbers from a non-optimized build")
-EOF
-inject_cpuinfo "$repo_root/BENCH_pairing.json"
-echo "wrote $repo_root/BENCH_pairing.json"
-
-# bench_protocols is a table-printing harness (messages/bytes per protocol
-# phase); convert its rows to the same {"benchmarks": [...]} shape. The same
-# run dumps its metrics-registry snapshot as BENCH_metrics.json.
-"$build_dir/bench/bench_protocols" \
-  --metrics-out="$repo_root/BENCH_metrics.json" | python3 -c '
-import json, re, sys
-rows = []
-for line in sys.stdin:
-    m = re.match(r"(.{42}) +(\d+) +(\d+)   (.*)", line.rstrip("\n"))
-    if m:
-        rows.append({"name": m.group(1).strip(),
-                     "messages": int(m.group(2)),
-                     "bytes": int(m.group(3)),
-                     "expectation": m.group(4)})
-json.dump({"context": {"source": "bench_protocols"}, "benchmarks": rows},
-          sys.stdout, indent=2)
-' > "$repo_root/BENCH_protocols.json"
-inject_cpuinfo "$repo_root/BENCH_protocols.json"
-echo "wrote $repo_root/BENCH_protocols.json"
-
-if [[ ! -s "$repo_root/BENCH_metrics.json" ]]; then
-  echo "error: bench_protocols did not produce BENCH_metrics.json" >&2
-  exit 1
-fi
-inject_cpuinfo "$repo_root/BENCH_metrics.json"
-echo "wrote $repo_root/BENCH_metrics.json"
-
-# bench_throughput writes its own JSON; same debug-build guard as above
-# (its reporter derives library_build_type from the binary's NDEBUG).
-"$build_dir/bench/bench_throughput" \
-  --json-out="$repo_root/BENCH_throughput.json" >/dev/null
-python3 - "$repo_root/BENCH_throughput.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-build = report.get("context", {}).get("library_build_type", "missing")
-if build != "release":
-    import os
-    os.unlink(path)
-    sys.exit(f"error: throughput report says library_build_type={build!r}; "
-             "refusing to keep numbers from a non-optimized build")
-EOF
-inject_cpuinfo "$repo_root/BENCH_throughput.json"
-echo "wrote $repo_root/BENCH_throughput.json"
-
-# bench_ledger writes its own JSON; same debug-build guard.
-"$build_dir/bench/bench_ledger" \
-  --json-out="$repo_root/BENCH_ledger.json" >/dev/null
-python3 - "$repo_root/BENCH_ledger.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-build = report.get("context", {}).get("library_build_type", "missing")
-if build != "release":
-    import os
-    os.unlink(path)
-    sys.exit(f"error: ledger report says library_build_type={build!r}; "
-             "refusing to keep numbers from a non-optimized build")
-if report.get("proof_verify_latency_ns", {}).get("count", 0) == 0:
-    import os
-    os.unlink(path)
-    sys.exit("error: ledger report has no proof-verify latency samples; "
-             "was the obs registry attached?")
-EOF
-inject_cpuinfo "$repo_root/BENCH_ledger.json"
-echo "wrote $repo_root/BENCH_ledger.json"
-
-# bench_load writes its own JSON; same debug-build guard, plus the
-# differential-oracle verdict: a run whose store diverged from the oracle
-# map exits non-zero and its report is refused.
-load_accounts="${BENCH_LOAD_ACCOUNTS:-100000}"
-"$build_dir/bench/bench_load" --accounts="$load_accounts" \
-  --json-out="$repo_root/BENCH_load.json"
-python3 - "$repo_root/BENCH_load.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-build = report.get("context", {}).get("library_build_type", "missing")
-if build != "release":
-    import os
-    os.unlink(path)
-    sys.exit(f"error: load report says library_build_type={build!r}; "
-             "refusing to keep numbers from a non-optimized build")
-if not report.get("oracle", {}).get("pass", False):
-    import os
-    os.unlink(path)
-    sys.exit("error: load report's differential oracle failed; the store "
-             "diverged from the expected contents")
-EOF
-inject_cpuinfo "$repo_root/BENCH_load.json"
-echo "wrote $repo_root/BENCH_load.json"
-
-# bench_sse is a google-benchmark binary with the same honest reporter as
-# bench_computation (library_build_type derived from the binary's NDEBUG).
-# BENCH_SSE_FILTER narrows the run for smoke jobs.
+bin="$build_dir/bench"
+out="$repo_root"
 sse_filter="${BENCH_SSE_FILTER:-}"
-"$build_dir/bench/bench_sse" \
-  ${sse_filter:+--benchmark_filter="$sse_filter"} \
-  --benchmark_repetitions="$reps" \
-  --benchmark_out_format=json \
-  --benchmark_out="$repo_root/BENCH_sse.json" >/dev/null
-python3 - "$repo_root/BENCH_sse.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-build = report.get("context", {}).get("library_build_type", "missing")
-if build != "release":
-    import os
-    os.unlink(path)
-    sys.exit(f"error: sse report says library_build_type={build!r}; "
-             "refusing to keep numbers from a non-optimized build")
-EOF
-inject_cpuinfo "$repo_root/BENCH_sse.json"
-echo "wrote $repo_root/BENCH_sse.json"
 
-# bench_mhi writes its own JSON; same debug-build guard. It exits non-zero
-# (and writes nothing) if the batched PEKS test diverges from the scalar
-# oracle, so a present report implies the fast path matched bit-for-bit.
-"$build_dir/bench/bench_mhi" \
-  --json-out="$repo_root/BENCH_mhi.json"
-python3 - "$repo_root/BENCH_mhi.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    report = json.load(f)
-build = report.get("context", {}).get("library_build_type", "missing")
-if build != "release":
-    import os
+"$bin/bench_computation" --benchmark_repetitions="$reps" \
+  --benchmark_out_format=json --benchmark_out="$out/BENCH_pairing.json" \
+  >/dev/null
+"$bin/bench_protocols" --json-out="$out/BENCH_protocols.json" \
+  --metrics-out="$out/BENCH_metrics.json"
+"$bin/bench_throughput" --json-out="$out/BENCH_throughput.json" >/dev/null
+"$bin/bench_ledger" --json-out="$out/BENCH_ledger.json" >/dev/null
+# Exits non-zero if the store diverged from the differential oracle.
+"$bin/bench_load" --accounts="${BENCH_LOAD_ACCOUNTS:-100000}" \
+  --json-out="$out/BENCH_load.json"
+"$bin/bench_sse" ${sse_filter:+--benchmark_filter="$sse_filter"} \
+  --benchmark_repetitions="$reps" \
+  --benchmark_out_format=json --benchmark_out="$out/BENCH_sse.json" >/dev/null
+# Exits non-zero, writing nothing, if the batched PEKS test diverges from the
+# scalar oracle.
+"$bin/bench_mhi" --json-out="$out/BENCH_mhi.json"
+
+python3 - "$out" <<'EOF'
+import json, os, sys
+content = {  # report -> (check, why it is refused)
+    "BENCH_ledger.json": (lambda r: r["proof_verify_latency_ns"]["count"] > 0, "no proof-verify latency samples; was the obs registry attached?"),
+    "BENCH_load.json": (lambda r: r["oracle"]["pass"], "differential oracle failed; the store diverged from the expected contents"),
+    "BENCH_mhi.json": (lambda r: r["ingest_latency_ns"]["count"] > 0, "no ingest latency samples; was the obs registry attached?"),
+}
+names = ("BENCH_pairing.json", "BENCH_protocols.json", "BENCH_metrics.json", "BENCH_throughput.json",
+         "BENCH_ledger.json", "BENCH_load.json", "BENCH_sse.json", "BENCH_mhi.json")
+failed = False
+for name in names:
+    path = os.path.join(sys.argv[1], name)
+    with open(path) as f:
+        report = json.load(f)
+    build = report["context"].get("library_build_type", "missing")
+    check, why = content.get(name, (lambda r: True, ""))
+    if build != "release":
+        why = f"library_build_type={build!r}; refusing to keep numbers from a non-optimized build"
+    elif check(report):
+        continue
     os.unlink(path)
-    sys.exit(f"error: mhi report says library_build_type={build!r}; "
-             "refusing to keep numbers from a non-optimized build")
-if report.get("ingest_latency_ns", {}).get("count", 0) == 0:
-    import os
-    os.unlink(path)
-    sys.exit("error: mhi report has no ingest latency samples; "
-             "was the obs registry attached?")
+    print(f"error: {name}: {why}", file=sys.stderr)
+    failed = True
+print(f"checked {len(names)} reports in {sys.argv[1]}" + (": refused some" if failed else ""))
+sys.exit(failed)
 EOF
-inject_cpuinfo "$repo_root/BENCH_mhi.json"
-echo "wrote $repo_root/BENCH_mhi.json"
