@@ -39,14 +39,15 @@ int main() {
   std::printf("%10s %18s %18s %18s %14s\n", "N files", "patient bytes",
               "server SI bytes", "server file bytes", "SI bytes/file");
   Row base = sizes_at(8);
+  Row big = base;  // ends as the loop's 2048-file row
   for (size_t n : {8u, 32u, 128u, 512u, 2048u}) {
     Row r = (n == 8) ? base : sizes_at(n);
     std::printf("%10zu %18zu %18zu %18zu %14.1f\n", r.n_files,
                 r.patient_bytes, r.index_bytes, r.cipher_bytes,
                 static_cast<double>(r.index_bytes) /
                     static_cast<double>(r.n_files));
+    big = r;
   }
-  Row big = sizes_at(2048);
   bool patient_constant = big.patient_bytes == base.patient_bytes;
   double server_ratio = static_cast<double>(big.index_bytes) /
                         static_cast<double>(base.index_bytes);

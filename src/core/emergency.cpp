@@ -110,23 +110,20 @@ ProtocolError no_bundle() {
 std::optional<BeBlobResponse> SServer::handle_be_request(
     const BeBlobRequest& req) {
   obs::Span span("sserver:be_request");
-  std::optional<Bytes> nu = authenticate(req, kBeLabel);
-  if (!nu.has_value()) return std::nullopt;
-  Account* acct = find_account(req.tp, req.collection);
-  if (acct == nullptr) return std::nullopt;
+  std::optional<Authenticated> auth = authenticate(req, kBeLabel);
+  if (!auth.has_value() || auth->acct == nullptr) return std::nullopt;
   BeBlobResponse resp;
-  resp.be_blob = acct->be_blob;
-  stamp(resp, *nu, kBeLabel, net_->clock().now());
+  resp.be_blob = auth->acct->be_blob;
+  stamp(resp, auth->nu, kBeLabel, net_->clock().now());
   return resp;
 }
 
 std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     const PrivilegedRetrieveRequest& req) {
   obs::Span span("sserver:privileged_retrieve");
-  std::optional<Bytes> nu = authenticate(req, kPrivLabel);
-  if (!nu.has_value()) return std::nullopt;
-  Account* acct = find_account(req.tp, req.collection);
-  if (acct == nullptr) return std::nullopt;
+  std::optional<Authenticated> auth = authenticate(req, kPrivLabel);
+  if (!auth.has_value() || auth->acct == nullptr) return std::nullopt;
+  const Account* acct = auth->acct;
 
   obs::Span lookup("sse:lookup");
   // Batch θ_d^{-1}: one Feistel key schedule per trapdoor width across the
@@ -138,7 +135,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
-  stamp(resp, *nu, kPrivLabel, net_->clock().now());
+  stamp(resp, auth->nu, kPrivLabel, net_->clock().now());
   return resp;
 }
 

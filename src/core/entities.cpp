@@ -105,12 +105,6 @@ std::string SServer::account_key(BytesView tp, const std::string& collection) {
   return hex_encode(tp) + "/" + collection;
 }
 
-SServer::Account* SServer::find_account(BytesView tp,
-                                        const std::string& collection) {
-  auto it = accounts_.find(account_key(tp, collection));
-  return it == accounts_.end() ? nullptr : &it->second;
-}
-
 std::map<std::string, AccountSnapshot> SServer::snapshot_accounts() const {
   std::map<std::string, AccountSnapshot> out;
   for (const auto& [key, acct] : accounts_) {
@@ -123,6 +117,7 @@ std::map<std::string, AccountSnapshot> SServer::snapshot_accounts() const {
     snap.files = std::make_shared<const sse::EncryptedCollection>(acct.files);
     snap.log = std::make_shared<const sse::UpdateLog>(acct.log);
     snap.d = acct.d;
+    snap.nu = acct.nu;
     out.emplace(key, std::move(snap));
   }
   return out;
@@ -217,6 +212,12 @@ void SServer::store_erase_all(const std::string& key, const Account& acct) {
     store_.erase(log_record_key(key, label));
   }
   store_.erase(key);
+}
+
+void SServer::compact_store_if_sparse() {
+  if (!store_.is_open()) return;
+  const store::StoreStats s = store_.stats();
+  if (s.segments >= 2 && s.dead_bytes > s.live_bytes) (void)store_.compact();
 }
 
 void SServer::store_replace_all() {
@@ -360,8 +361,8 @@ Bytes SServer::export_state() const {
   // flat entry list carrying its role_id (bucket order instead of arrival
   // order — import rebuilds the same buckets either way).
   w.u32(static_cast<uint32_t>(mhi_entry_count()));
-  for (const auto& [role_id, entries] : mhi_store_) {
-    for (const MhiEntry& e : entries) {
+  for (const auto& [role_id, bucket] : mhi_store_) {
+    for (const MhiEntry& e : bucket.entries) {
       w.str(role_id);
       w.u32(static_cast<uint32_t>(e.tags.size()));
       for (const peks::PeksCiphertext& t : e.tags) w.bytes(t.to_bytes());
@@ -388,7 +389,7 @@ bool SServer::import_state(BytesView state) {
       acct.be_blob = r.bytes();
       accounts.emplace(std::move(key), std::move(acct));
     }
-    std::map<std::string, std::vector<MhiEntry>> mhi;
+    std::map<std::string, MhiBucket> mhi;
     size_t m = r.count32(12);  // each entry: three u32 prefixes
     for (size_t i = 0; i < m; ++i) {
       std::string role_id = r.str();
@@ -398,12 +399,13 @@ bool SServer::import_state(BytesView state) {
         e.tags.push_back(peks::PeksCiphertext::from_bytes(*ctx_, r.bytes()));
       }
       e.ibe_blob = r.bytes();
-      mhi[role_id].push_back(std::move(e));
+      mhi[role_id].entries.push_back(std::move(e));
     }
     if (!r.done()) return false;  // trailing junk
     accounts_ = std::move(accounts);
     mhi_store_ = std::move(mhi);
     store_replace_all();
+    compact_store_if_sparse();
     return true;
   } catch (const std::exception&) {
     return false;
@@ -433,8 +435,8 @@ size_t SServer::stored_bytes() const {
     total += acct.index->size_bytes() + acct.files.size_bytes() +
              acct.log.size_bytes() + acct.d.size() + acct.be_blob.size();
   }
-  for (const auto& [role_id, entries] : mhi_store_) {
-    for (const MhiEntry& e : entries) {
+  for (const auto& [role_id, bucket] : mhi_store_) {
+    for (const MhiEntry& e : bucket.entries) {
       total += e.ibe_blob.size();
       for (const peks::PeksCiphertext& t : e.tags) total += t.size();
     }

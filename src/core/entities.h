@@ -55,6 +55,9 @@ struct AccountSnapshot {
   std::shared_ptr<const sse::EncryptedCollection> files;
   std::shared_ptr<const sse::UpdateLog> log;  // forward-private update layer
   Bytes d;  // current privilege key for θ_d unwrap
+  /// ν with the account's pseudonym, empty until the live server has
+  /// derived it (SServer::Account::nu).
+  Bytes nu;
 };
 
 // ---------------------------------------------------------------------------
@@ -246,7 +249,9 @@ class SServer {
   /// onto `pool` (nullptr = serial). The pool must outlive the server.
   void attach_mhi_pool(par::ThreadPool* pool) noexcept { mhi_pool_ = pool; }
 
-  /// ν for a presented pseudonym: ê(Γ_S, TPp).
+  /// ν for a presented pseudonym: ê(Γ_S, TPp), derived cold (decode,
+  /// subgroup guard, pairing). The handlers use it only for a TPp whose
+  /// account holds no ν yet; it stays the oracle for the account-bound one.
   [[nodiscard]] Bytes shared_key_for(BytesView tp_bytes) const;
   /// The fixed-Γ_S precomputation behind shared_key_for, exposed so the
   /// SEARCH front-end's batch path (SearchService::search_batch_privileged)
@@ -272,9 +277,11 @@ class SServer {
   [[nodiscard]] size_t stored_bytes() const;
   [[nodiscard]] size_t mhi_entry_count() const noexcept {
     size_t n = 0;
-    for (const auto& [role, entries] : mhi_store_) n += entries.size();
+    for (const auto& [role, bucket] : mhi_store_) n += bucket.entries.size();
     return n;
   }
+  /// Roles whose ρ this server currently holds (see role_key).
+  [[nodiscard]] size_t role_key_count() const noexcept;
 
   /// Copies every account into immutable snapshots for the concurrent SEARCH
   /// front-end (search_service.h). Keys are account_key(tp, collection).
@@ -316,27 +323,66 @@ class SServer {
     sse::UpdateLog log;  // forward-private ADD/DELETE entries
     Bytes d;
     Bytes be_blob;
+    /// ν = ê(Γ_S, TPp), bound here by the first request that derived it and
+    /// carried across a re-store, so it lives exactly as long as the
+    /// account. Never persisted or exported: after hydration or
+    /// import_state the first request derives it again.
+    Bytes nu;
   };
   struct MhiEntry {
     std::vector<peks::PeksCiphertext> tags;
     Bytes ibe_blob;
   };
+  /// One role's shelved windows, plus its ρ once a request derived it.
+  struct MhiBucket {
+    std::vector<MhiEntry> entries;
+    Bytes rho;
+  };
 
-  Account* find_account(BytesView tp, const std::string& collection);
-
-  /// Preamble of every ν-keyed handler: ν from the presented TPp (a
-  /// malformed or small-subgroup point is refused), then admit(). Returns ν,
-  /// or nullopt to refuse.
+  /// The account a request names: its (TPp, collection), or, for a request
+  /// without a collection (an MHI store), any account of its TPp.
   template <typename Req>
-  std::optional<Bytes> authenticate(const Req& req, std::string_view label) {
+  Account* account_for(const Req& req) {
+    if constexpr (requires { req.collection; }) {
+      auto it = accounts_.find(account_key(req.tp, req.collection));
+      return it == accounts_.end() ? nullptr : &it->second;
+    } else {
+      const std::string prefix = account_key(req.tp, "");
+      auto it = accounts_.lower_bound(prefix);
+      return it == accounts_.end() || !it->first.starts_with(prefix)
+                 ? nullptr
+                 : &it->second;
+    }
+  }
+
+  /// What a ν-keyed request authenticated with, and the account it names
+  /// (nullptr when there is none: handle_store creates it, the others
+  /// refuse).
+  struct Authenticated {
     Bytes nu;
-    try {
-      nu = shared_key_for(req.tp);
-    } catch (const std::exception&) {
-      return std::nullopt;
+    Account* acct;
+  };
+  /// Preamble of every ν-keyed handler: ν from the named account, else
+  /// from the presented TPp (a malformed or small-subgroup point is
+  /// refused), then admit(). A cold ν is bound to the account if one
+  /// exists; a TPp without an account adds no state. nullopt refuses.
+  template <typename Req>
+  std::optional<Authenticated> authenticate(const Req& req,
+                                            std::string_view label) {
+    Account* acct = account_for(req);
+    Bytes nu;
+    if (acct != nullptr && !acct->nu.empty()) {
+      nu = acct->nu;
+    } else {
+      try {
+        nu = shared_key_for(req.tp);
+      } catch (const std::exception&) {
+        return std::nullopt;
+      }
+      if (acct != nullptr) acct->nu = nu;
     }
     if (!admit(req, nu, label)) return std::nullopt;
-    return nu;
+    return Authenticated{std::move(nu), acct};
   }
   /// The MAC check, then the replay cache — in that order, so a forged
   /// request never enters the cache. The ρ-keyed MHI handlers use it alone.
@@ -345,8 +391,18 @@ class SServer {
     return mac_ok(req, key, label) &&
            net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs);
   }
-  /// ρ for a role identity: ê(PK_r, Γ_S), the MHI pairwise key.
+  /// ρ for a role identity: ê(PK_r, Γ_S), the MHI pairwise key, derived
+  /// cold (H1(IDr), pairing) — the oracle for role_key.
   [[nodiscard]] Bytes rho_for(const std::string& role_id) const;
+  /// ρ as the ρ-keyed handlers use it: kept with the role's live MHI state
+  /// — its hub registrations (dropped by expire_role), else its store
+  /// bucket — and derived once per that state's lifetime. A role with
+  /// neither takes the cold rho_for path and adds no state.
+  [[nodiscard]] Bytes role_key(const std::string& role_id);
+  /// Space bound of the write-through log, checked after every account
+  /// mutation: once dead frames outweigh live ones across two or more
+  /// segments, the store is compacted (at most 2× space amplification).
+  void compact_store_if_sparse();
 
   // Store key layout (DESIGN.md §12): an account spans one base record
   // `<key>` (index ‖ d ‖ BE_U(d)) plus one record per file blob
@@ -383,7 +439,7 @@ class SServer {
   std::map<std::string, Account> accounts_;
   // Indexed by role_id so a retrieve or streamed ingest touches only its
   // role's bucket, never the whole store.
-  std::map<std::string, std::vector<MhiEntry>> mhi_store_;
+  std::map<std::string, MhiBucket> mhi_store_;
   MhiStreamHub mhi_hub_;
   par::ThreadPool* mhi_pool_ = nullptr;
   store::AccountStore store_;  // unopened until attach_store()
@@ -800,6 +856,18 @@ class Physician {
   /// Γ_i's precomputed signer, built on first use.
   const ibc::IbsSigner& signer();
 
+  /// A role key this physician obtained from an A-server office, with the
+  /// ρ it shares with each storage service, derived on first use.
+  struct RoleLink {
+    curve::Point key;                // Γr
+    std::map<std::string, Bytes> rho;  // service id -> ê(Γr, H1(ID_S))
+  };
+  /// ρ for `role_key` against `server`'s service identity: from the held
+  /// role link when `role_key` is the key obtained for `role_id`, else
+  /// derived cold (a key the physician never obtained adds no state).
+  Bytes role_rho(const SServer& server, const std::string& role_id,
+                 const curve::Point& role_key);
+
   sim::Network* net_;
   std::string id_;
   const curve::CurveCtx* ctx_;
@@ -809,6 +877,7 @@ class Physician {
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_i NIKE precomputation
   std::optional<ibc::IbsSigner> signer_;
   std::map<std::string, OfficeLink> offices_;
+  std::map<std::string, RoleLink> roles_;  // role id -> last key obtained
   mutable cipher::Drbg rng_;
 };
 

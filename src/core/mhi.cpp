@@ -106,6 +106,27 @@ Bytes SServer::rho_for(const std::string& role_id) const {
   return nu_deriver_.with_point(ibc::Domain::public_key(*ctx_, role_id));
 }
 
+Bytes SServer::role_key(const std::string& role_id) {
+  // Standing registrations are the role's hot state (expire_role drops the
+  // key with them); a role without any keeps ρ with its stored windows.
+  Bytes* slot = mhi_hub_.role_key_slot(role_id);
+  if (slot == nullptr) {
+    auto bucket = mhi_store_.find(role_id);
+    if (bucket == mhi_store_.end()) return rho_for(role_id);
+    slot = &bucket->second.rho;
+  }
+  if (slot->empty()) *slot = rho_for(role_id);
+  return *slot;
+}
+
+size_t SServer::role_key_count() const noexcept {
+  size_t n = mhi_hub_.role_keys_held();
+  for (const auto& [role_id, bucket] : mhi_store_) {
+    if (!bucket.rho.empty()) ++n;
+  }
+  return n;
+}
+
 bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   obs::Span span("sserver:mhi_store");
   if (!authenticate(req, kStoreLabel)) return false;
@@ -121,7 +142,7 @@ bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   // Feed the streaming hub before shelving: standing registrations for this
   // role see the window the moment it lands (DESIGN.md §13).
   mhi_hub_.ingest(req.role_id, entry.tags, entry.ibe_blob, mhi_pool_);
-  mhi_store_[req.role_id].push_back(std::move(entry));
+  mhi_store_[req.role_id].entries.push_back(std::move(entry));
   return true;
 }
 
@@ -132,8 +153,24 @@ Result<curve::Point> Physician::try_request_role_key(
   req.role_id = role_id;
   req.t = net_->clock().now();
   req.sig = signer().sign(req.body(), rng_).to_bytes();
-  return Caller{*net_, id_}.call(authority, &AServer::handle_role_key_request,
-                                 req, kRoleKeyLabel, "role-key request");
+  Result<curve::Point> key =
+      Caller{*net_, id_}.call(authority, &AServer::handle_role_key_request,
+                              req, kRoleKeyLabel, "role-key request");
+  if (key.ok()) roles_.insert_or_assign(role_id, RoleLink{key.value(), {}});
+  return key;
+}
+
+Bytes Physician::role_rho(const SServer& server, const std::string& role_id,
+                          const curve::Point& role_key) {
+  auto it = roles_.find(role_id);
+  if (it == roles_.end() || !(it->second.key == role_key)) {
+    return ibc::shared_key_with_id(*ctx_, role_key, server.service_id());
+  }
+  auto [rho, fresh] = it->second.rho.try_emplace(server.service_id());
+  if (fresh) {
+    rho->second = ibc::shared_key_with_id(*ctx_, role_key, server.service_id());
+  }
+  return rho->second;
 }
 
 std::optional<curve::Point> Physician::request_role_key(
@@ -156,7 +193,7 @@ Result<std::vector<MhiWindow>> Physician::try_retrieve_mhi(
   obs::Span span("protocol:mhi_retrieve");
   // ρ = ê(Γr, PK_S) = ê(PK_r, Γ_S) — the role-based pairwise key, derived
   // against the *service* identity so any group replica can answer.
-  Bytes rho = ibc::shared_key_with_id(*ctx_, role_key, server.service_id());
+  Bytes rho = role_rho(server, role_id, role_key);
   MhiRetrieveRequest req;
   req.physician_id = id_;
   req.role_id = role_id;
@@ -181,7 +218,7 @@ std::vector<MhiWindow> Physician::retrieve_mhi(SServer& server,
 std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
     const MhiRetrieveRequest& req) {
   obs::Span span("sserver:mhi_retrieve");
-  Bytes rho = rho_for(req.role_id);
+  Bytes rho = role_key(req.role_id);
   if (!admit(req, rho, kRetrieveLabel)) return std::nullopt;
   peks::Trapdoor td;
   try {
@@ -195,15 +232,16 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
   // precomputed Miller loop, and one pool-sharded final_exp_batch finishes
   // every (entry, tag) pair.
   auto bucket = mhi_store_.find(req.role_id);
-  if (bucket != mhi_store_.end() && !bucket->second.empty()) {
+  if (bucket != mhi_store_.end() && !bucket->second.entries.empty()) {
+    const std::vector<MhiEntry>& entries = bucket->second.entries;
     std::vector<peks::PeksCiphertext> flat;
-    for (const MhiEntry& entry : bucket->second) {
+    for (const MhiEntry& entry : entries) {
       flat.insert(flat.end(), entry.tags.begin(), entry.tags.end());
     }
     peks::TrapdoorPrecomp pre(*ctx_, td);
     std::vector<uint8_t> match = pre.test_batch(flat, mhi_pool_);
     size_t k = 0;
-    for (const MhiEntry& entry : bucket->second) {
+    for (const MhiEntry& entry : entries) {
       bool hit = false;
       for (size_t i = 0; i < entry.tags.size(); ++i, ++k) {
         if (match[k]) hit = true;
@@ -246,7 +284,8 @@ bool PDevice::stream_mhi(const AServer& authority, SServer& server,
 
 bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
   obs::Span span("sserver:mhi_register");
-  if (!admit(req, rho_for(req.role_id), kRegisterLabel)) return false;
+  Bytes rho = role_key(req.role_id);
+  if (!admit(req, rho, kRegisterLabel)) return false;
   peks::Trapdoor td;
   try {
     td = peks::Trapdoor::from_bytes(*ctx_, req.trapdoor);
@@ -254,13 +293,16 @@ bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
     return false;
   }
   mhi_hub_.register_trapdoor(req.physician_id, req.role_id, td);
+  // The role now has hub state to keep the ρ this request proved with.
+  Bytes* slot = mhi_hub_.role_key_slot(req.role_id);
+  if (slot->empty()) *slot = std::move(rho);
   return true;
 }
 
 std::optional<MhiHitsResponse> SServer::handle_mhi_hits(
     const MhiHitsRequest& req) {
   obs::Span span("sserver:mhi_hits");
-  Bytes rho = rho_for(req.role_id);
+  Bytes rho = role_key(req.role_id);
   if (!admit(req, rho, kHitsLabel)) return std::nullopt;
   MhiHitsResponse resp;
   for (MhiHit& hit : mhi_hub_.drain_hits(req.physician_id, req.role_id)) {
@@ -275,7 +317,7 @@ Result<void> Physician::try_register_mhi(SServer& server,
                                          const curve::Point& role_key,
                                          std::string_view keyword) {
   obs::Span span("protocol:mhi_register");
-  Bytes rho = ibc::shared_key_with_id(*ctx_, role_key, server.service_id());
+  Bytes rho = role_rho(server, role_id, role_key);
   MhiRegisterRequest req;
   req.physician_id = id_;
   req.role_id = role_id;
@@ -295,7 +337,7 @@ Result<std::vector<MhiWindow>> Physician::try_fetch_mhi_hits(
     SServer& server, const std::string& role_id,
     const curve::Point& role_key) {
   obs::Span span("protocol:mhi_hits");
-  Bytes rho = ibc::shared_key_with_id(*ctx_, role_key, server.service_id());
+  Bytes rho = role_rho(server, role_id, role_key);
   MhiHitsRequest req;
   req.physician_id = id_;
   req.role_id = role_id;

@@ -53,7 +53,7 @@ void MhiIngestor::roll_epoch(const std::string& new_role_id) {
 void MhiStreamHub::register_trapdoor(const std::string& physician_id,
                                      const std::string& role_id,
                                      const peks::Trapdoor& td) {
-  std::vector<Registration>& regs = by_role_[role_id];
+  std::vector<Registration>& regs = by_role_[role_id].regs;
   for (Registration& reg : regs) {
     if (reg.physician_id == physician_id) {
       reg.precomp = peks::TrapdoorPrecomp(*ctx_, td);
@@ -67,7 +67,7 @@ void MhiStreamHub::register_trapdoor(const std::string& physician_id,
 size_t MhiStreamHub::expire_role(const std::string& role_id) {
   auto it = by_role_.find(role_id);
   if (it == by_role_.end()) return 0;
-  size_t n = it->second.size();
+  size_t n = it->second.regs.size();
   by_role_.erase(it);
   expired_ += n;
   obs::count(obs::kMhiExpiredRegistrations, n);
@@ -80,8 +80,10 @@ size_t MhiStreamHub::ingest(const std::string& role_id,
   ++windows_ingested_;
   obs::count(obs::kMhiWindowsIngested);
   auto it = by_role_.find(role_id);
-  if (it == by_role_.end() || it->second.empty() || tags.empty()) return 0;
-  const std::vector<Registration>& regs = it->second;
+  if (it == by_role_.end() || it->second.regs.empty() || tags.empty()) {
+    return 0;
+  }
+  const std::vector<Registration>& regs = it->second.regs;
 
   auto t0 = std::chrono::steady_clock::now();
   // One Miller value per (registration, tag) pair — all over cached lines —
@@ -154,7 +156,18 @@ size_t MhiStreamHub::pending_hits(const std::string& physician_id) const {
 
 size_t MhiStreamHub::registration_count() const noexcept {
   size_t n = 0;
-  for (const auto& [role, regs] : by_role_) n += regs.size();
+  for (const auto& [id, role] : by_role_) n += role.regs.size();
+  return n;
+}
+
+Bytes* MhiStreamHub::role_key_slot(const std::string& role_id) {
+  auto it = by_role_.find(role_id);
+  return it == by_role_.end() ? nullptr : &it->second.key;
+}
+
+size_t MhiStreamHub::role_keys_held() const noexcept {
+  size_t n = 0;
+  for (const auto& [id, role] : by_role_) n += role.key.empty() ? 0 : 1;
   return n;
 }
 

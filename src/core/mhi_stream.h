@@ -93,9 +93,18 @@ class MhiStreamHub {
                          const peks::Trapdoor& td);
 
   /// Epoch rollover: drops every standing registration for `role_id` (their
-  /// trapdoors can never match another epoch's tags — see header comment).
-  /// Returns how many were dropped. Queued hits survive until drained.
+  /// trapdoors can never match another epoch's tags — see header comment),
+  /// and the role's key slot with them. Returns how many were dropped.
+  /// Queued hits survive until drained.
   size_t expire_role(const std::string& role_id);
+
+  /// The slot the S-server keeps its pairwise key ρ for `role_id` in
+  /// (SServer::role_key), empty until filled; the hub never reads it. It
+  /// exists exactly while the role has standing registrations, so nullptr
+  /// for any other role.
+  [[nodiscard]] Bytes* role_key_slot(const std::string& role_id);
+  /// Roles whose key slot is filled.
+  [[nodiscard]] size_t role_keys_held() const noexcept;
 
   /// Tests one freshly-landed window against all standing registrations for
   /// its role. One precomputed Miller loop per (registration, tag) pair and
@@ -131,8 +140,13 @@ class MhiStreamHub {
     peks::TrapdoorPrecomp precomp;
   };
 
+  struct Role {
+    std::vector<Registration> regs;
+    Bytes key;  // role_key_slot
+  };
+
   const curve::CurveCtx* ctx_;
-  std::map<std::string, std::vector<Registration>> by_role_;
+  std::map<std::string, Role> by_role_;
   std::map<std::string, std::vector<MhiHit>> hits_;  // physician → queue
   uint64_t windows_ingested_ = 0;
   uint64_t tags_tested_ = 0;

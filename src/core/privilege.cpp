@@ -78,12 +78,11 @@ Result<size_t> Patient::revoke_member(SServerGroup& group, size_t slot) {
 
 bool SServer::handle_revoke(const RevokeRequest& req) {
   obs::Span span("sserver:revoke");
-  std::optional<Bytes> nu = authenticate(req, kRevokeLabel);
-  if (!nu.has_value()) return false;
-  Account* acct = find_account(req.tp, req.collection);
-  if (acct == nullptr) return false;
+  std::optional<Authenticated> auth = authenticate(req, kRevokeLabel);
+  if (!auth.has_value() || auth->acct == nullptr) return false;
+  Account* acct = auth->acct;
   try {
-    Bytes inner = cipher::aead_decrypt(*nu, req.sealed, {});
+    Bytes inner = cipher::aead_decrypt(auth->nu, req.sealed, {});
     io::Reader r(inner);
     acct->d = r.bytes();
     acct->be_blob = r.bytes();
@@ -93,6 +92,7 @@ bool SServer::handle_revoke(const RevokeRequest& req) {
   // REVOKE touches only d / BE_U(d) — one base-record rewrite, no file or
   // log records.
   store_put_base(account_key(req.tp, req.collection), *acct);
+  compact_store_if_sparse();
   return true;
 }
 

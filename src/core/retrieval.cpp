@@ -115,10 +115,9 @@ std::vector<sse::PlainFile> Patient::retrieve_anonymous(
 std::optional<RetrieveResponse> SServer::handle_retrieve(
     const RetrieveRequest& req) {
   obs::Span span("sserver:retrieve");
-  std::optional<Bytes> nu = authenticate(req, kLabel);
-  if (!nu.has_value()) return std::nullopt;
-  Account* acct = find_account(req.tp, req.collection);
-  if (acct == nullptr) return std::nullopt;
+  std::optional<Authenticated> auth = authenticate(req, kLabel);
+  if (!auth.has_value() || auth->acct == nullptr) return std::nullopt;
+  const Account* acct = auth->acct;
 
   // Mixed-width batch: 60-byte static trapdoors walk the packed index only;
   // 100-byte dynamic ones additionally walk the account's update log.
@@ -128,7 +127,7 @@ std::optional<RetrieveResponse> SServer::handle_retrieve(
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
-  stamp(resp, *nu, kLabel, net_->clock().now());
+  stamp(resp, auth->nu, kLabel, net_->clock().now());
   return resp;
 }
 

@@ -142,13 +142,19 @@ SearchService::search_batch_privileged(
   const curve::CurveCtx& ctx = *server.nu_deriver().ctx();
   sim::Network& net = server.net();
 
-  // Stage 1: one coalescer drain derives every ν of the batch — requests
-  // presenting the same pseudonym share a single pairing. The subgroup
-  // guard mirrors SServer::shared_key_for.
+  // Stage 1: ν of a published account comes off its snapshot (the live
+  // server's account-bound ν); every other ν of the batch is derived in one
+  // coalescer drain — requests presenting the same pseudonym share a
+  // single pairing. The subgroup guard mirrors SServer::shared_key_for.
   PairingCoalescer co(ctx);
   constexpr size_t kNone = static_cast<size_t>(-1);
   std::vector<size_t> ticket(reqs.size(), kNone);
+  std::vector<const AccountSnapshot*> accts(reqs.size(), nullptr);
   for (size_t i = 0; i < reqs.size(); ++i) {
+    std::string key = SServer::account_key(reqs[i].tp, reqs[i].collection);
+    const SnapshotMap& snap = view_for(views, key);
+    if (auto it = snap.find(key); it != snap.end()) accts[i] = &it->second;
+    if (accts[i] != nullptr && !accts[i]->nu.empty()) continue;
     try {
       curve::Point tp = curve::point_from_bytes(ctx, reqs[i].tp);
       if (!curve::in_prime_subgroup(ctx, tp)) continue;
@@ -158,16 +164,21 @@ SearchService::search_batch_privileged(
     }
   }
   PairingCoalescer::Drained drained = co.drain(pool_);
+  auto nu_of = [&](size_t i) -> const Bytes* {
+    if (ticket[i] != kNone) return &drained.shared_keys[ticket[i]];
+    return accts[i] != nullptr && !accts[i]->nu.empty() ? &accts[i]->nu
+                                                        : nullptr;
+  };
 
   // Stage 2: MAC and freshness in arrival order — the replay cache mutates,
   // so a duplicate inside the batch is rejected exactly as if it had
   // arrived one request later.
   std::vector<uint8_t> accepted(reqs.size(), 0);
   for (size_t i = 0; i < reqs.size(); ++i) {
-    if (ticket[i] == kNone) continue;
+    const Bytes* nu = nu_of(i);
+    if (nu == nullptr) continue;
     const PrivilegedRetrieveRequest& req = reqs[i];
-    const Bytes& nu = drained.shared_keys[ticket[i]];
-    if (!protocol_mac_ok(nu, kPrivilegedRetrieveLabel, req.body(), req.t,
+    if (!protocol_mac_ok(*nu, kPrivilegedRetrieveLabel, req.body(), req.t,
                          req.mac)) {
       continue;
     }
@@ -181,13 +192,9 @@ SearchService::search_batch_privileged(
   // requests — const snapshot state only, like search_batch.
   const uint64_t now = net.clock().now();
   auto answer_one = [&](size_t i) {
-    if (!accepted[i]) return;
+    if (!accepted[i] || accts[i] == nullptr) return;
     const PrivilegedRetrieveRequest& req = reqs[i];
-    std::string key = SServer::account_key(req.tp, req.collection);
-    const SnapshotMap& snap = view_for(views, key);
-    auto it = snap.find(key);
-    if (it == snap.end()) return;
-    const AccountSnapshot& acct = it->second;
+    const AccountSnapshot& acct = *accts[i];
     static const sse::UpdateLog kEmptyLog;
     const sse::UpdateLog& log = acct.log ? *acct.log : kEmptyLog;
     RetrieveResponse resp;
@@ -199,8 +206,8 @@ SearchService::search_batch_privileged(
       }
     }
     resp.t = now;
-    resp.mac = protocol_mac(drained.shared_keys[ticket[i]],
-                            kPrivilegedRetrieveLabel, resp.body(), resp.t);
+    resp.mac = protocol_mac(*nu_of(i), kPrivilegedRetrieveLabel, resp.body(),
+                            resp.t);
     out[i] = std::move(resp);
   };
   if (pool_ == nullptr || reqs.size() <= 1) {

@@ -96,9 +96,10 @@ class SearchService {
       std::span<const Query> queries) const;
 
   /// §IV.E.1 messages 3–4 answered as one authenticated batch on behalf of
-  /// `server`: the ν = ê(Γ_S, TPp) derivations of the whole batch go through
-  /// one PairingCoalescer drain (requests presenting the same pseudonym
-  /// share a single pairing), then MAC/freshness checks run in arrival order
+  /// `server`: ν of an account whose snapshot carries it is taken from
+  /// there; every other ν = ê(Γ_S, TPp) of the batch is derived in one
+  /// PairingCoalescer drain (requests presenting the same pseudonym share a
+  /// single pairing), then MAC/freshness checks run in arrival order
   /// against the live server's replay cache, and the accepted queries are
   /// answered from the current snapshot in parallel. result[i] is what
   /// server.handle_privileged_retrieve(reqs[i]) returns — nullopt on a bad

@@ -78,7 +78,8 @@ bool Patient::store_phi_anonymous(SServer& server, sim::OnionNetwork& onion) {
 
 bool SServer::handle_store(const StoreRequest& req) {
   obs::Span span("sserver:store");
-  if (!authenticate(req, kLabel)) return false;
+  std::optional<Authenticated> auth = authenticate(req, kLabel);
+  if (!auth.has_value()) return false;
   Account acct;
   try {
     acct.index = std::make_shared<const sse::SecureIndex>(
@@ -89,14 +90,14 @@ bool SServer::handle_store(const StoreRequest& req) {
   }
   acct.d = req.d;
   acct.be_blob = req.be_blob;
+  acct.nu = std::move(auth->nu);  // ν outlives a re-upload of the account
   std::string key = account_key(req.tp, req.collection);
   // A re-upload supersedes the old account's file/log sub-records; erase
   // them by the old in-memory image (no store-wide scan).
-  if (auto it = accounts_.find(key); it != accounts_.end()) {
-    store_erase_all(key, it->second);
-  }
-  accounts_[key] = std::move(acct);
-  store_put_all(key, accounts_[key]);
+  if (auth->acct != nullptr) store_erase_all(key, *auth->acct);
+  Account& stored = accounts_[key] = std::move(acct);
+  store_put_all(key, stored);
+  compact_store_if_sparse();
   return true;
 }
 

@@ -163,9 +163,9 @@ Result<size_t> Patient::try_compact_phi(SServerGroup& group) {
 
 bool SServer::handle_update(const UpdateRequest& req) {
   obs::Span span("sserver:update");
-  if (!authenticate(req, kUpdateLabel)) return false;
-  Account* acct = find_account(req.tp, req.collection);
-  if (acct == nullptr) return false;
+  std::optional<Authenticated> auth = authenticate(req, kUpdateLabel);
+  if (!auth.has_value() || auth->acct == nullptr) return false;
+  Account* acct = auth->acct;
 
   // O(delta): map inserts plus one store append per record. The packed
   // index and the base store record are never touched.
@@ -182,14 +182,15 @@ bool SServer::handle_update(const UpdateRequest& req) {
   for (sse::FileId id : req.files_remove) {
     if (acct->files.files.erase(id) > 0) store_erase_file(key, id);
   }
+  compact_store_if_sparse();
   return true;
 }
 
 bool SServer::handle_compact(const CompactRequest& req) {
   obs::Span span("sserver:compact");
-  if (!authenticate(req, kCompactLabel)) return false;
-  Account* acct = find_account(req.tp, req.collection);
-  if (acct == nullptr) return false;
+  std::optional<Authenticated> auth = authenticate(req, kCompactLabel);
+  if (!auth.has_value() || auth->acct == nullptr) return false;
+  Account* acct = auth->acct;
 
   std::shared_ptr<const sse::SecureIndex> index;
   try {
@@ -209,6 +210,7 @@ bool SServer::handle_compact(const CompactRequest& req) {
   acct->log.entries.clear();
   acct->index = std::move(index);
   store_put_base(key, *acct);
+  compact_store_if_sparse();
   obs::count(obs::kSseCompactions);
   return true;
 }

@@ -264,11 +264,11 @@ uint64_t all_pairings(const obs::Registry& reg) {
          reg.counter(obs::kPairingProductTerms);
 }
 
-TEST(EmergencyPrecomp, WarmIncidentCostsSevenPairingsNoHashToPoint) {
+TEST(EmergencyPrecomp, WarmIncidentCostsFivePairingsNoHashToPoint) {
   // §V.B.3 budget: once every party holds its per-identity state, an
-  // incident pays 3 fixed ê(W, P) verifications, the passcode IBE encrypt
-  // and decrypt, and the two ν derivations at the S-server — and hashes no
-  // identity to a point.
+  // incident pays 3 fixed ê(W, P) verifications and the passcode IBE
+  // encrypt and decrypt — the S-server's ν is bound to the account — and
+  // hashes no identity to a point.
   Deployment d = Deployment::create(small_config(21));
   Physician second(*d.net, *d.aserver, "dr-second");
   d.aserver->set_on_duty(second.id(), true);
@@ -282,7 +282,7 @@ TEST(EmergencyPrecomp, WarmIncidentCostsSevenPairingsNoHashToPoint) {
     const uint64_t pairings = all_pairings(reg);
     const uint64_t h2p = reg.counter(obs::kHashToPoint);
     EXPECT_TRUE(pdevice_incident(d, *dr)) << dr->id();
-    EXPECT_EQ(all_pairings(reg) - pairings, 7u) << dr->id();
+    EXPECT_EQ(all_pairings(reg) - pairings, 5u) << dr->id();
     EXPECT_EQ(reg.counter(obs::kHashToPoint) - h2p, 0u) << dr->id();
   }
   obs::attach(previous);

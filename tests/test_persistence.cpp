@@ -1,11 +1,13 @@
 // S-server durable state: export/import and file round-trips, with the
-// protocols still working against the restored server.
+// protocols still working against the restored server, and the space bound
+// of the attached store's write-through log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
 #include "src/core/setup.h"
+#include "src/store/store.h"
 
 namespace hcpp::core {
 namespace {
@@ -111,6 +113,53 @@ TEST(Persistence, StateIsAllCiphertext) {
                           f.content.begin() + 16);
     EXPECT_EQ(it, state.end());
   }
+}
+
+// ---- attached store: write-through space bound ------------------------------
+
+TEST(Persistence, AttachedStoreCompactsOnceDeadOutweighsLive) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "hcpp-persist-bounded";
+  fs::remove_all(dir);
+  Deployment d = Deployment::create({.n_phi_files = 4, .seed = 9});
+  ASSERT_TRUE(d.sserver->attach_store(dir.string()));
+  const store::AccountStore& st = d.sserver->account_store();
+  // 64 KiB bodies fill an 8 MiB segment in ~130 UPDATEs; every UPDATE leaves
+  // the previous body dead and every COMPACT tombstones the folded log.
+  constexpr size_t kBody = 64 << 10;
+  const uint64_t segment_bytes = store::StoreOptions{}.segment_bytes;
+  cipher::Drbg rng(to_bytes("bounded-store"));
+  uint64_t written = 0;
+  uint64_t compactions = 0;
+  for (int round = 0; round < 480; ++round) {
+    sse::PlainFile f = d.patient->files()[static_cast<size_t>(round) % 4];
+    f.content = rng.bytes(kBody);
+    ASSERT_TRUE(d.patient->update_phi(*d.sserver, {f}));
+    written += kBody;
+    if (round % 8 == 7) {
+      ASSERT_TRUE(d.patient->compact_phi(*d.sserver));
+    }
+    const store::StoreStats s = st.stats();
+    // The rule holds after every mutation, and a compaction leaves no
+    // tombstone behind.
+    EXPECT_TRUE(s.segments < 2 || s.dead_bytes <= s.live_bytes) << round;
+    EXPECT_LE(s.total_bytes, segment_bytes + 2 * s.live_bytes + 2 * kBody)
+        << round;
+    if (s.compactions > compactions) {
+      EXPECT_EQ(s.tombstones, 0u) << round;
+    }
+    compactions = s.compactions;
+  }
+  EXPECT_GE(compactions, 2u);
+  EXPECT_LT(st.stats().total_bytes, written / 2);
+  EXPECT_TRUE(d.sserver->store_consistent());
+
+  // A fresh process hydrates exactly the same accounts.
+  SServer restored(*d.net, *d.aserver, d.sserver->id());
+  ASSERT_TRUE(restored.attach_store(dir.string()));
+  EXPECT_TRUE(restored.store_consistent());
+  EXPECT_EQ(restored.export_state(), d.sserver->export_state());
+  fs::remove_all(dir);
 }
 
 }  // namespace

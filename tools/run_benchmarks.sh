@@ -53,7 +53,9 @@
 # generic|mulx-adx, chacha_kernel: generic|avx2).
 #
 # Fails fast: a missing binary after the build, or a bench exiting non-zero,
-# aborts the whole run. After the run one check covers every report: a
+# aborts the whole run. The one exception is bench_load, whose non-zero exit
+# (a failed differential oracle) is held until the report check below has
+# deleted its refused report. After the run one check covers every report: a
 # report whose library_build_type is not "release" is deleted and the script
 # aborts, and so is a ledger or MHI report without latency samples or a load
 # report whose differential oracle failed.
@@ -98,9 +100,11 @@ sse_filter="${BENCH_SSE_FILTER:-}"
   --metrics-out="$out/BENCH_metrics.json"
 "$bin/bench_throughput" --json-out="$out/BENCH_throughput.json" >/dev/null
 "$bin/bench_ledger" --json-out="$out/BENCH_ledger.json" >/dev/null
-# Exits non-zero if the store diverged from the differential oracle.
+# Exits non-zero if the store diverged from the differential oracle, after
+# writing its report; the script fails once the check has deleted it.
+load_rc=0
 "$bin/bench_load" --accounts="${BENCH_LOAD_ACCOUNTS:-100000}" \
-  --json-out="$out/BENCH_load.json"
+  --json-out="$out/BENCH_load.json" || load_rc=$?
 "$bin/bench_sse" ${sse_filter:+--benchmark_filter="$sse_filter"} \
   --benchmark_repetitions="$reps" \
   --benchmark_out_format=json --benchmark_out="$out/BENCH_sse.json" >/dev/null
@@ -134,3 +138,7 @@ for name in names:
 print(f"checked {len(names)} reports in {sys.argv[1]}" + (": refused some" if failed else ""))
 sys.exit(failed)
 EOF
+if (( load_rc != 0 )); then
+  echo "error: bench_load exited with status $load_rc" >&2
+  exit "$load_rc"
+fi
