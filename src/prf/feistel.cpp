@@ -1,6 +1,9 @@
 #include "src/prf/feistel.h"
 
+#include <numeric>
 #include <stdexcept>
+
+#include "src/cipher/drbg.h"
 
 namespace hcpp::prf {
 
@@ -133,6 +136,25 @@ uint64_t SmallDomainPrp::inverse(uint64_t y) const {
   uint64_t x = unround_once(y);
   while (x >= n_) x = unround_once(x);
   return x;
+}
+
+std::vector<uint64_t> permutation_table(BytesView key, std::string_view label,
+                                        uint64_t n) {
+  Bytes msg = to_bytes(label);
+  for (int s = 56; s >= 0; s -= 8) msg.push_back(static_cast<uint8_t>(n >> s));
+  cipher::Drbg rng(hash::hmac_sha256(key, msg));
+
+  std::vector<uint64_t> table(n);
+  std::iota(table.begin(), table.end(), uint64_t{0});
+  for (uint64_t i = n; i > 1; --i) {
+    // Uniform j in [0, i): reject the 2^64 mod i lowest words, which would
+    // otherwise make the smallest residues more likely.
+    const uint64_t reject_below = (0 - i) % i;
+    uint64_t x = rng.u64();
+    while (x < reject_below) x = rng.u64();
+    std::swap(table[i - 1], table[x % i]);
+  }
+  return table;
 }
 
 }  // namespace hcpp::prf

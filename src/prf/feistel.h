@@ -5,11 +5,17 @@
 //                      paper's ϖ (virtual-address PRP) and θ (the
 //                      trapdoor-wrapping PRP of ASSIGN/REVOKE).
 //  * SmallDomainPrp  — PRP over an arbitrary integer domain [0, n) via a
-//                      numeric Feistel plus cycle-walking; realises φ, which
-//                      scrambles node positions inside the SSE array A.
+//                      numeric Feistel plus cycle-walking, evaluated point
+//                      by point; the ORAM shuffle (src/oram) uses it.
+//  * permutation_table — a whole keyed permutation of [0, n) at once (the
+//                      table form of a small-domain PRP, Black–Rogaway
+//                      2002); realises φ, which scrambles node positions
+//                      inside the SSE array A.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/hash/hmac.h"
@@ -61,5 +67,14 @@ class SmallDomainPrp {
   int left_bits_;  // bits_/2
   static constexpr int kRounds = 6;
 };
+
+/// The keyed permutation π of [0, n) as a table: `table[x]` = π(x). A
+/// ChaCha20 DRBG seeded with HMAC-SHA256(key, label ‖ u64be(n)) drives a
+/// Fisher–Yates shuffle whose index draws use rejection sampling, so every
+/// one of the n! orderings is equally likely under a random key. The label
+/// separates this use of `key` from its others. Costs n draws and 8n bytes;
+/// callers that need π at most points should build it once and index it.
+std::vector<uint64_t> permutation_table(BytesView key, std::string_view label,
+                                        uint64_t n);
 
 }  // namespace hcpp::prf

@@ -1,6 +1,7 @@
 #include "src/sse/adaptive.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 
@@ -41,8 +42,9 @@ uint32_t next_pow2(uint32_t v) {
 AdaptiveIndex build_index(std::span<const PlainFile> files, BytesView key,
                           RandomSource& rng, uint32_t bound,
                           double padding_factor) {
-  if (padding_factor < 1.0) {
-    throw std::invalid_argument("adaptive::build_index: padding_factor < 1");
+  if (!(std::isfinite(padding_factor) && padding_factor >= 1.0)) {
+    throw std::invalid_argument(
+        "adaptive::build_index: padding_factor not finite >= 1");
   }
   std::map<std::string, std::vector<FileId>> postings;
   for (const PlainFile& f : files) {

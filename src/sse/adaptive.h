@@ -42,7 +42,8 @@ struct AdaptiveTrapdoor {
 
 /// Builds the dictionary. `bound` caps (and pads) postings-list lengths; 0
 /// selects the smallest power of two covering the longest real list.
-/// Dummy entries bring the total to `padding_factor` times the real count.
+/// Dummy entries bring the total to `padding_factor` (finite, >= 1; anything
+/// else throws std::invalid_argument) times the real count.
 AdaptiveIndex build_index(std::span<const PlainFile> files, BytesView key,
                           RandomSource& rng, uint32_t bound = 0,
                           double padding_factor = 1.25);

@@ -1,6 +1,7 @@
 #include "src/sse/sse.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 
@@ -119,8 +120,8 @@ PlainFile PlainFile::from_bytes(BytesView bv) {
 SecureIndex build_index(std::span<const PlainFile> files, const Keys& keys,
                         RandomSource& rng, double padding_factor,
                         par::ThreadPool* pool) {
-  if (padding_factor < 1.0) {
-    throw std::invalid_argument("build_index: padding_factor < 1");
+  if (!(std::isfinite(padding_factor) && padding_factor >= 1.0)) {
+    throw std::invalid_argument("build_index: padding_factor not finite >= 1");
   }
   obs::Span span("sse:index_build");
   obs::count(obs::kSseIndexBuild);
@@ -129,117 +130,97 @@ SecureIndex build_index(std::span<const PlainFile> files, const Keys& keys,
   for (const PlainFile& f : files) {
     for (const std::string& kw : f.keywords) postings[kw].push_back(f.id);
   }
-  size_t total_nodes = 0;
-  for (const auto& [kw, fids] : postings) total_nodes += fids.size();
+  // Keyword i owns the node-counter range [start, start + |L_i|) in postings
+  // order; node j of L_i lives at A[φ(start + j)].
+  struct List {
+    const std::string* kw;
+    const std::vector<FileId>* fids;
+    uint64_t start;
+  };
+  std::vector<List> lists;
+  lists.reserve(postings.size());
+  uint64_t total_nodes = 0;
+  for (const auto& [kw, fids] : postings) {
+    lists.push_back({&kw, &fids, total_nodes});
+    total_nodes += fids.size();
+  }
 
   SecureIndex si;
   size_t array_size = std::max<size_t>(
       8, static_cast<size_t>(static_cast<double>(total_nodes) *
                              padding_factor));
   si.array_a.assign(array_size, Bytes());
-  prf::SmallDomainPrp phi(keys.a, array_size);
+  // φ_a as one table per build: search never evaluates φ (it follows the
+  // addresses stored in the nodes), so only this build needs it.
+  const std::vector<uint64_t> phi =
+      prf::permutation_table(keys.a, "sse1/phi", array_size);
   TrapdoorGen gen(keys);
 
-  if (pool == nullptr || pool->size() <= 1) {
-    // Legacy serial schedule, byte-for-byte: one rng stream, postings order.
-    // A size-1 pool takes this path too, so "single-threaded" always means
-    // the exact serial bytes (DESIGN.md §9).
-    uint64_t ctr = 0;
-    for (const auto& [kw, fids] : postings) {
-      Bytes lambda_prev = rng.bytes(kKeyLen);  // λ_{i,0}
-      uint64_t head_addr = phi.forward(ctr);
-      // T[ϖ_c(kw)] = (head_addr ‖ λ_{i,0}) ⊕ f_b(kw)
-      Bytes entry;
-      for (int s = 56; s >= 0; s -= 8) {
-        entry.push_back(static_cast<uint8_t>(head_addr >> s));
-      }
-      append(entry, lambda_prev);
-      Bytes masked = xor_bytes(entry, gen.mask(kw));
-      si.table_t[hex_encode(gen.address(kw))] = masked;
-
-      for (size_t j = 0; j < fids.size(); ++j) {
-        uint64_t addr = phi.forward(ctr);
-        ++ctr;
-        bool has_next = (j + 1 < fids.size());
-        uint64_t next_addr = has_next ? phi.forward(ctr) : 0;
-        Bytes lambda_next = has_next ? rng.bytes(kKeyLen) : Bytes(kKeyLen, 0);
-        Bytes node = encode_node(has_next, fids[j], lambda_next, next_addr);
-        si.array_a[addr] = crypt_node(lambda_prev, node);
-        lambda_prev = lambda_next;
-      }
-    }
-    for (Bytes& slot : si.array_a) {
-      if (slot.empty()) slot = rng.bytes(kNodeSize);
-    }
-    return si;
-  }
-
-  // Sharded build. Keyword i owns the node-counter range
-  // [node_start[i], node_start[i] + |L_i|) — the same ctr values the serial
-  // schedule would use — so φ scatters nodes to the same distinct addresses
-  // regardless of thread count, and every array write lands on a slot no
-  // other worker touches. Only λ keys and padding come from the forked
-  // per-shard streams; the index *structure* is thread-count-invariant.
-  std::vector<std::pair<const std::string*, const std::vector<FileId>*>> kws;
-  kws.reserve(postings.size());
-  std::vector<uint64_t> node_start;
-  node_start.reserve(postings.size());
-  uint64_t acc = 0;
-  for (const auto& [kw, fids] : postings) {
-    kws.emplace_back(&kw, &fids);
-    node_start.push_back(acc);
-    acc += fids.size();
-  }
-
-  size_t kw_shards = pool->shard_count(kws.size());
-  std::vector<cipher::Drbg> kw_streams = fork_streams(rng, kw_shards);
-  // Per-shard table entries, merged serially after the barrier (the
-  // unordered_map is not safe for concurrent insertion).
-  std::vector<std::vector<std::pair<std::string, Bytes>>> shard_entries(
-      kw_shards);
-  pool->for_shards(kws.size(), [&](size_t shard, size_t begin, size_t end) {
-    cipher::Drbg& srng = kw_streams[shard];
-    auto& entries = shard_entries[shard];
+  // Writes lists [begin, end), drawing each list's λ keys from `r` in list
+  // order, and returns their T entries. Every node lands on a slot fixed by
+  // φ alone, so shards never write the same slot.
+  auto write_lists = [&](RandomSource& r, size_t begin, size_t end) {
+    std::vector<std::pair<std::string, Bytes>> entries;
     entries.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      const std::string& kw = *kws[i].first;
-      const std::vector<FileId>& fids = *kws[i].second;
-      uint64_t ctr = node_start[i];
-      Bytes lambda_prev = srng.bytes(kKeyLen);
-      uint64_t head_addr = phi.forward(ctr);
+      const std::vector<FileId>& fids = *lists[i].fids;
+      const uint64_t* addr = phi.data() + lists[i].start;
+      Bytes lambda_prev = r.bytes(kKeyLen);  // λ_{i,0}
+      // T[ϖ_c(kw)] = (addr(L_{i,1}) ‖ λ_{i,0}) ⊕ f_b(kw)
       Bytes entry;
       for (int s = 56; s >= 0; s -= 8) {
-        entry.push_back(static_cast<uint8_t>(head_addr >> s));
+        entry.push_back(static_cast<uint8_t>(addr[0] >> s));
       }
       append(entry, lambda_prev);
-      entries.emplace_back(hex_encode(gen.address(kw)),
-                           xor_bytes(entry, gen.mask(kw)));
-
+      entries.emplace_back(hex_encode(gen.address(*lists[i].kw)),
+                           xor_bytes(entry, gen.mask(*lists[i].kw)));
       for (size_t j = 0; j < fids.size(); ++j) {
-        uint64_t addr = phi.forward(ctr);
-        ++ctr;
         bool has_next = (j + 1 < fids.size());
-        uint64_t next_addr = has_next ? phi.forward(ctr) : 0;
-        Bytes lambda_next = has_next ? srng.bytes(kKeyLen) : Bytes(kKeyLen, 0);
+        uint64_t next_addr = has_next ? addr[j + 1] : 0;
+        Bytes lambda_next = has_next ? r.bytes(kKeyLen) : Bytes(kKeyLen, 0);
         Bytes node = encode_node(has_next, fids[j], lambda_next, next_addr);
-        si.array_a[addr] = crypt_node(lambda_prev, node);
-        lambda_prev = lambda_next;
+        si.array_a[addr[j]] = crypt_node(lambda_prev, node);
+        lambda_prev = std::move(lambda_next);
       }
     }
-  });
+    return entries;
+  };
+  // Fill unused slots [begin, end) with random bytes so the array looks
+  // uniform.
+  auto fill_slots = [&](RandomSource& r, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (si.array_a[i].empty()) si.array_a[i] = r.bytes(kNodeSize);
+    }
+  };
+
+  // Per-shard table entries, merged serially at the end (the unordered_map
+  // is not safe for concurrent insertion).
+  std::vector<std::vector<std::pair<std::string, Bytes>>> shard_entries;
+  if (pool == nullptr || pool->size() <= 1) {
+    // Serial schedule: one rng stream, postings order. A size-1 pool takes
+    // this path too, so "single-threaded" always means the exact serial
+    // bytes (DESIGN.md §9).
+    shard_entries.push_back(write_lists(rng, 0, lists.size()));
+    fill_slots(rng, 0, array_size);
+  } else {
+    // Sharded build: the index *structure* is thread-count-invariant; only
+    // λ keys and padding come from the forked per-shard streams.
+    size_t kw_shards = pool->shard_count(lists.size());
+    std::vector<cipher::Drbg> kw_streams = fork_streams(rng, kw_shards);
+    shard_entries.resize(kw_shards);
+    pool->for_shards(lists.size(), [&](size_t shard, size_t begin,
+                                       size_t end) {
+      shard_entries[shard] = write_lists(kw_streams[shard], begin, end);
+    });
+    size_t fill_shards = pool->shard_count(array_size);
+    std::vector<cipher::Drbg> fill_streams = fork_streams(rng, fill_shards);
+    pool->for_shards(array_size, [&](size_t shard, size_t begin, size_t end) {
+      fill_slots(fill_streams[shard], begin, end);
+    });
+  }
   for (auto& entries : shard_entries) {
     for (auto& [k, v] : entries) si.table_t[k] = std::move(v);
   }
-
-  // Fill unused slots with random bytes so the array looks uniform.
-  size_t fill_shards = pool->shard_count(array_size);
-  std::vector<cipher::Drbg> fill_streams = fork_streams(rng, fill_shards);
-  pool->for_shards(array_size, [&](size_t shard, size_t begin, size_t end) {
-    cipher::Drbg& srng = fill_streams[shard];
-    for (size_t i = begin; i < end; ++i) {
-      if (si.array_a[i].empty()) si.array_a[i] = srng.bytes(kNodeSize);
-    }
-  });
   return si;
 }
 

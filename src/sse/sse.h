@@ -92,15 +92,23 @@ struct Trapdoor {
 inline constexpr size_t kNodeSize = 49;      // flag ‖ fid ‖ λ ‖ next
 inline constexpr size_t kTrapdoorSize = 60;  // address ‖ mask ‖ tag
 
-/// Builds SI per Fig. 2. `padding_factor` >= 1 grows A beyond the exact node
-/// count to blunt size leakage (§V discussion).
+/// Builds SI per Fig. 2. `padding_factor` (finite, >= 1; anything else
+/// throws std::invalid_argument) grows A beyond the exact node count to
+/// blunt size leakage (§V discussion).
 ///
-/// With a pool, keyword lists are built and array A filled/permuted in
-/// parallel shards; each shard draws its randomness from a DRBG stream
-/// forked off `rng`, so the output is reproducible for a given seed and
-/// thread count, and search results are identical across thread counts (the
-/// index *bytes* differ — only the per-node keys and padding randomness
-/// move). `pool == nullptr` is the exact legacy serial schedule.
+/// φ_a is computed once per build as a table
+/// (`prf::permutation_table(a, "sse1/phi", |A|)`); node j of the i-th
+/// keyword's list (keywords in sorted order) goes to A[φ(Σ_{k<i}|L_k| + j)].
+/// Search never evaluates φ, so indexes built under an earlier φ stay
+/// searchable.
+///
+/// With a pool, keyword lists are written and array A padded in parallel
+/// shards; each shard draws its randomness from a DRBG stream forked off
+/// `rng`, so the output is reproducible for a given seed and thread count,
+/// and the node addresses and search results are identical across thread
+/// counts (the index *bytes* differ — only the per-node keys and padding
+/// randomness move). `pool == nullptr` or a pool of one is the exact serial
+/// schedule.
 SecureIndex build_index(std::span<const PlainFile> files, const Keys& keys,
                         RandomSource& rng, double padding_factor = 1.25,
                         par::ThreadPool* pool = nullptr);

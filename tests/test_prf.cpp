@@ -1,7 +1,9 @@
-// Property tests for the PRF and the two Feistel PRPs (ϖ/θ byte-string PRP
-// and φ small-domain PRP).
+// Property tests for the PRF, the two Feistel PRPs (ϖ/θ byte-string PRP
+// and the small-domain PRP) and the keyed permutation table (φ).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/prf/feistel.h"
@@ -102,6 +104,51 @@ TEST(SmallDomainPrp, RejectsOutOfDomain) {
   EXPECT_THROW(prp.forward(10), std::out_of_range);
   EXPECT_THROW(prp.inverse(10), std::out_of_range);
   EXPECT_THROW(SmallDomainPrp(to_bytes("k"), 1), std::invalid_argument);
+}
+
+class PermutationTable : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PermutationTable, IsABijection) {
+  const uint64_t n = GetParam();
+  std::vector<uint64_t> table = permutation_table(to_bytes("phi-key"), "t", n);
+  ASSERT_EQ(table.size(), n);
+  std::vector<uint64_t> sorted = table;
+  std::sort(sorted.begin(), sorted.end());
+  for (uint64_t x = 0; x < n; ++x) EXPECT_EQ(sorted[x], x);
+  EXPECT_EQ(permutation_table(to_bytes("phi-key"), "t", n), table);
+}
+
+INSTANTIATE_TEST_SUITE_P(DomainSizes, PermutationTable,
+                         ::testing::Values(2, 8, 9, 116, 4097));
+
+// Every ordering of a 4-element domain must be equally likely over keys.
+// The 24 000 keys are fixed, so the statistic is a fixed number: the test is
+// deterministic. Bound: the chi-square critical value for 23 degrees of
+// freedom at p = 0.001 is 49.73.
+TEST(PermutationTable, AllOrderingsOfFourEquallyLikely) {
+  constexpr int kKeys = 24'000;
+  std::map<std::vector<uint64_t>, int> counts;
+  for (int k = 0; k < kKeys; ++k) {
+    ++counts[permutation_table(to_bytes("uniformity-" + std::to_string(k)),
+                               "t", 4)];
+  }
+  ASSERT_EQ(counts.size(), 24u);
+  const double expected = kKeys / 24.0;
+  double chi2 = 0;
+  for (const auto& [order, count] : counts) {
+    chi2 += (count - expected) * (count - expected) / expected;
+  }
+  EXPECT_LT(chi2, 49.73);
+}
+
+TEST(PermutationTable, KeyLabelAndSizeSeparated) {
+  const Bytes key = to_bytes("k");
+  std::vector<uint64_t> base = permutation_table(key, "t", 116);
+  EXPECT_NE(permutation_table(to_bytes("k2"), "t", 116), base);
+  EXPECT_NE(permutation_table(key, "u", 116), base);
+  // A different n is a different permutation, not a prefix-compatible one.
+  std::vector<uint64_t> longer = permutation_table(key, "t", 117);
+  EXPECT_FALSE(std::equal(base.begin(), base.end(), longer.begin()));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -190,6 +191,56 @@ TEST(Sse, PaddingFactorGrowsArray) {
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);
   EXPECT_THROW(build_index(files, keys, rng, 0.5), std::invalid_argument);
+}
+
+TEST(Sse, PaddingFactorMustBeFiniteAndAtLeastOne) {
+  auto files = sample_files(5, "sse-pad-bad");
+  cipher::Drbg rng(to_bytes("sse-pad-bad-rng"));
+  Keys keys = Keys::generate(rng);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 0.5}) {
+    EXPECT_THROW(build_index(files, keys, rng, bad), std::invalid_argument)
+        << bad;
+  }
+}
+
+// Search follows the addresses stored in the nodes and never evaluates φ,
+// so an index built when φ was the point-wise cycle-walking Feistel PRP
+// (these bytes) stays searchable after φ became a permutation table.
+TEST(Sse, IndexBuiltUnderThePointwisePhiStaysSearchable) {
+  const std::string old_index =
+      "00000000000000082d554cdbb4fe744cc142deb3490bccdca2a433e767d50fb91cbe94"
+      "6b860f7f8d908fd30e5e15ecd9a100ef4134d9c19c7e6b7ab7c7cb8efe5e06b53c94c4"
+      "a280c7f49925a428a2c24df68362812defc1c64f0dc2c4875d9ab7f36fe369a2fd4fd9"
+      "fe24d0764f8ce3ad306702f91a9a12ca1c2fe1bdaeed0c76a8ebd48382c89f3c929da4"
+      "511df9f5641de329d451ebb4975b88321a9667c1e1f9a59a1c8ad37cd6d6f79716661a"
+      "01f1b81b7353e58381f3a1186d86974c128614a56171551e1059047c78ceb5a03b16ea"
+      "a79064d3eb994e24d548bac2c357dc6ac9ce47a938d2c87f57dd30ddbff9916028e650"
+      "783dda58d2e48ea760a51df4cb7a5b152cf2d6b6b6f23772f796a18732508eb02930a6"
+      "f85aedb234792fe09f72324d22a2eca5bbb6a3a94164213b88665c46cfa32918f4083e"
+      "df7a84bea6615abc05654d41c142cb6b2c84428a45069ec9dad224d8477af643c8d52d"
+      "b76c4679ce1d753e297caf86dbd629f194ecb43dd13c0788eeecedfaf578c357786d43"
+      "b0c0c688f68488073200f18cfbb05c0000000000000002000000206433663338356363"
+      "32353536326135343139376538373361626431366538366500000028fbe1efd1307a14"
+      "6854b31088444fd605b7c80a94dbb7e8dca949cc19e6c11c7119d72ccc3c5e48a70000"
+      "0020663838353636356434373634656137323738343836333531333334663138373300"
+      "00002895c1b9958700e026d9c5140e4429297d1d0123276edc0cc833e1f8fbf17fd3bd"
+      "6a3220678ec708c9";
+  cipher::Drbg krng(to_bytes("sse-compat-keys"));
+  Keys keys = Keys::generate(krng);
+  SecureIndex si = SecureIndex::from_bytes(hex_decode(old_index));
+  EXPECT_EQ(search(si, make_trapdoor(keys, "kw:alpha")),
+            (std::vector<FileId>{1, 2, 3}));
+  EXPECT_EQ(search(si, make_trapdoor(keys, "kw:beta")),
+            (std::vector<FileId>{1, 3}));
+
+  // The same files, keys and rng now give other node addresses.
+  std::vector<PlainFile> files = {
+      {1, "a", to_bytes("x"), {"kw:alpha", "kw:beta"}},
+      {2, "b", to_bytes("y"), {"kw:alpha"}},
+      {3, "c", to_bytes("z"), {"kw:alpha", "kw:beta"}}};
+  cipher::Drbg rng(to_bytes("sse-compat-rng"));
+  EXPECT_NE(build_index(files, keys, rng).to_bytes(), si.to_bytes());
 }
 
 TEST(Sse, ServerStorageIsLinearInN) {

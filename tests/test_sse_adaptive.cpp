@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "src/cipher/drbg.h"
@@ -83,6 +84,17 @@ TEST(Adaptive, ExplicitBoundBelowLongestRejected) {
   Bytes key = rng.bytes(32);
   EXPECT_THROW(build_index(files, key, rng, /*bound=*/1),
                std::invalid_argument);
+}
+
+TEST(Adaptive, PaddingFactorMustBeFiniteAndAtLeastOne) {
+  auto files = sample_files(5, "adp-pad-bad");
+  cipher::Drbg rng(to_bytes("adp-pad-bad-rng"));
+  Bytes key = rng.bytes(32);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 0.5}) {
+    EXPECT_THROW(build_index(files, key, rng, 0, bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Adaptive, PaddingAddsDummyEntries) {

@@ -11,11 +11,13 @@
 #include <set>
 #include <thread>
 
+#include "src/cipher/chacha20.h"
 #include "src/cipher/drbg.h"
 #include "src/core/record.h"
 #include "src/core/search_service.h"
 #include "src/core/setup.h"
 #include "src/par/pool.h"
+#include "src/prf/feistel.h"
 #include "src/sse/sse.h"
 
 namespace hcpp::sse {
@@ -96,6 +98,56 @@ TEST(SseParallel, SearchResultsIdenticalAcrossThreadCounts) {
   }
   for (const SecureIndex* si : {&serial, &si2, &si8}) {
     EXPECT_TRUE(search(*si, gen.make("no-such-keyword")).empty());
+  }
+}
+
+// The addresses of the nodes on one keyword's list, in list order, found by
+// unmasking its T entry and decrypting node after node (Fig. 2 layout:
+// has_next ‖ fid ‖ λ_next ‖ next_addr).
+std::vector<uint64_t> list_addresses(const SecureIndex& si,
+                                     const Trapdoor& td) {
+  auto be64 = [](const uint8_t* p) {
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+    return v;
+  };
+  Bytes entry = xor_bytes(si.table_t.at(hex_encode(td.address)), td.mask);
+  uint64_t addr = be64(entry.data());
+  Bytes lambda(entry.begin() + 8, entry.end());
+  std::vector<uint64_t> out;
+  while (out.size() <= si.array_a.size()) {
+    out.push_back(addr);
+    Bytes node = cipher::chacha20(lambda, Bytes(cipher::kChaChaNonceSize, 0),
+                                  0, si.array_a.at(addr));
+    if (node[0] != 1) break;
+    lambda.assign(node.begin() + 9, node.begin() + 41);
+    addr = be64(node.data() + 41);
+  }
+  return out;
+}
+
+TEST(SseParallel, NodeAddressesComeFromThePhiTableAtEveryThreadCount) {
+  auto files = sample_files(40, "par-phi");
+  cipher::Drbg krng(to_bytes("par-phi-keys"));
+  Keys keys = Keys::generate(krng);
+  par::ThreadPool two(2, "phi2");
+  par::ThreadPool eight(8, "phi8");
+  SecureIndex serial = build_with(files, keys, "par-phi-rng", nullptr);
+  SecureIndex si2 = build_with(files, keys, "par-phi-rng", &two);
+  SecureIndex si8 = build_with(files, keys, "par-phi-rng", &eight);
+
+  std::vector<uint64_t> phi =
+      prf::permutation_table(keys.a, "sse1/phi", serial.array_a.size());
+  TrapdoorGen gen(keys);
+  uint64_t node_start = 0;  // keywords own consecutive counters, sorted order
+  for (const auto& [kw, ids] : postings(files)) {
+    std::vector<uint64_t> want(phi.begin() + node_start,
+                               phi.begin() + node_start + ids.size());
+    Trapdoor td = gen.make(kw);
+    EXPECT_EQ(list_addresses(serial, td), want) << "keyword " << kw;
+    EXPECT_EQ(list_addresses(si2, td), want) << "keyword " << kw;
+    EXPECT_EQ(list_addresses(si8, td), want) << "keyword " << kw;
+    node_start += ids.size();
   }
 }
 
