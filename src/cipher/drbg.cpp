@@ -14,6 +14,13 @@ Drbg::Drbg(BytesView seed) {
   nonce_.fill(0);
 }
 
+std::vector<Drbg> fork_streams(RandomSource& rng, size_t n) {
+  std::vector<Drbg> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) out.emplace_back(rng.bytes(32));
+  return out;
+}
+
 Drbg Drbg::system() {
   std::random_device rd;
   Bytes seed(48);

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/random.h"
@@ -39,5 +40,11 @@ class Drbg final : public RandomSource {
   size_t block_fill_ = 0;  // valid bytes in block_
   size_t block_pos_ = 0;   // consumed bytes; == block_fill_ forces a refill
 };
+
+/// Forks `n` deterministic child streams off `rng`, one 32-byte seed each,
+/// drawn serially in index order. Forking before work is dispatched makes
+/// what child i produces independent of which thread later consumes it, so
+/// pooled callers give the same bytes at every thread count (DESIGN.md §9).
+std::vector<Drbg> fork_streams(RandomSource& rng, size_t n);
 
 }  // namespace hcpp::cipher

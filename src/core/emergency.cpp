@@ -25,6 +25,7 @@
 #include "src/core/coalesce.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
+#include "src/par/pool.h"
 
 namespace hcpp::core {
 
@@ -166,7 +167,13 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::handle_emergency_auth(
     const EmergencyAuthRequest& req) {
   obs::Span span("aserver:emergency_auth");
   if (!authenticate(req)) return std::nullopt;
-  return finish_emergency_auth(req);
+  const PhysicianLink* link = physician_link(req.physician_id);
+  if (link == nullptr) return std::nullopt;  // not on duty
+  const uint64_t t11 = net_->clock().now();
+  std::optional<EmergencyAuthOutcome> out =
+      issue_passcode(req, *link, passcode_issuer(), rng_, t11);
+  if (out.has_value()) commit_trace(req, t11);
+  return out;
 }
 
 std::vector<std::optional<AServer::EmergencyAuthOutcome>>
@@ -181,38 +188,61 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
   PairingCoalescer co(pub());
   constexpr size_t kNone = static_cast<size_t>(-1);
   std::vector<size_t> ticket(reqs.size(), kNone);
+  std::vector<const PhysicianLink*> link(reqs.size(), nullptr);
   for (size_t i = 0; i < reqs.size(); ++i) {
     const EmergencyAuthRequest& req = reqs[i];
     try {
       ibc::IbsSignature sig =
           ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-      const PhysicianLink* link = physician_link(req.physician_id);
-      ticket[i] = link != nullptr
-                      ? co.add_ibs_verify(link->verifier, req.body(), sig)
+      link[i] = physician_link(req.physician_id);
+      ticket[i] = link[i] != nullptr
+                      ? co.add_ibs_verify(link[i]->verifier, req.body(), sig)
                       : co.add_ibs_verify(req.physician_id, req.body(), sig);
     } catch (const std::exception&) {
     }
   }
 
-  // One drain: all verification pairings fused and final-exponentiated
-  // together (coalesce.h). Only verified requests then reach the replay
+  // Admit: one drain fuses and final-exponentiates every verification
+  // pairing (coalesce.h). Only verified requests then reach the replay
   // cache, serially and in arrival order, so a duplicate inside the batch is
   // refused exactly as it would have been arriving one request later, and a
   // forged copy never burns the genuine request's tag.
   PairingCoalescer::Drained drained = co.drain(pool);
+  std::vector<size_t> admitted;
   for (size_t i = 0; i < reqs.size(); ++i) {
     if (ticket[i] == kNone || !drained.ibs_ok[ticket[i]]) continue;
     if (!fresh(reqs[i])) continue;
-    out[i] = finish_emergency_auth(reqs[i]);
+    if (link[i] == nullptr) continue;  // not on duty
+    admitted.push_back(i);
+  }
+  if (admitted.empty()) return out;
+
+  // Issue on the pool, each admitted request from its own child stream
+  // forked in arrival order: the bytes do not depend on the thread count.
+  std::vector<cipher::Drbg> streams =
+      cipher::fork_streams(rng_, admitted.size());
+  const PasscodeIssuer& issuer = passcode_issuer();
+  const uint64_t t11 = net_->clock().now();
+  auto issue = [&](size_t k) {
+    const size_t i = admitted[k];
+    out[i] = issue_passcode(reqs[i], *link[i], issuer, streams[k], t11);
+  };
+  if (pool == nullptr) {
+    for (size_t k = 0; k < admitted.size(); ++k) issue(k);
+  } else {
+    pool->parallel_for(admitted.size(), issue);
+  }
+
+  // Commit, serially in arrival order.
+  for (size_t i : admitted) {
+    if (out[i].has_value()) commit_trace(reqs[i], t11);
   }
   return out;
 }
 
-std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
-    const EmergencyAuthRequest& req) {
-  const PhysicianLink* link = physician_link(req.physician_id);
-  if (link == nullptr) return std::nullopt;  // not on duty
-
+std::optional<AServer::EmergencyAuthOutcome> AServer::issue_passcode(
+    const EmergencyAuthRequest& req, const PhysicianLink& link,
+    const PasscodeIssuer& issuer, RandomSource& rng, uint64_t t11) const {
   curve::Point tp;
   try {
     tp = curve::point_from_bytes(domain_.ctx(), req.tp);
@@ -222,17 +252,14 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
   // Small-subgroup guard: the passcode IBE keys to ê(TP, Ppub)^r.
   if (!curve::in_prime_subgroup(domain_.ctx(), tp)) return std::nullopt;
 
-  Bytes nonce = rng_.bytes(16);
-  uint64_t t11 = net_->clock().now();
+  Bytes nonce = rng.bytes(16);
   EmergencyAuthOutcome out;
 
   // Step 2: passcode to the physician under the pairwise key ϖ.
-  const ibc::IbsSigner& sign = signer();
-  out.to_physician.enc_nonce =
-      cipher::aead_encrypt(link->varpi, nonce, {}, rng_);
+  out.to_physician.enc_nonce = cipher::aead_encrypt(link.varpi, nonce, {}, rng);
   out.to_physician.t = t11;
   out.to_physician.sig =
-      sign.sign(out.to_physician.body(req.physician_id, req.tp), rng_)
+      issuer.signer.sign(out.to_physician.body(req.physician_id, req.tp), rng)
           .to_bytes();
 
   // Step 3: passcode to the P-device under IBE_TPp.
@@ -242,18 +269,22 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
   inner.u64(t11);
   out.to_pdevice.physician_id = req.physician_id;
   out.to_pdevice.ibe_blob =
-      ibc::ibe_encrypt_to_point(pub(), tp, inner.data(), rng_).to_bytes();
+      issuer.ibe.encrypt_to_point(tp, inner.data(), rng).to_bytes();
   out.to_pdevice.t = t11;
-  out.to_pdevice.sig = sign.sign(out.to_pdevice.body(req.tp), rng_).to_bytes();
+  out.to_pdevice.sig =
+      issuer.signer.sign(out.to_pdevice.body(req.tp), rng).to_bytes();
   out.to_pdevice.audit_sig =
-      sign.sign(rd_statement(req.physician_id, req.tp, t11), rng_).to_bytes();
+      issuer.signer.sign(rd_statement(req.physician_id, req.tp, t11), rng)
+          .to_bytes();
+  return out;
+}
 
+void AServer::commit_trace(const EmergencyAuthRequest& req, uint64_t t11) {
   // TR: the accountability trace (§IV.E.2) — the loose log the legacy audit
   // reads, plus the tamper-evident hash-chained mirror the ledger audit
   // verifies against the anchored checkpoints.
   traces_.push_back({req.physician_id, req.tp, req.t, t11, req.sig});
   trace_ledger_.append(event_from_trace(traces_.back()));
-  return out;
 }
 
 // ---- Physician -----------------------------------------------------------------

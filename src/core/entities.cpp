@@ -27,22 +27,20 @@ AServer::AServer(sim::Network& net, const curve::CurveCtx& ctx, std::string id,
         cipher::Drbg boot(seed_for(seed, "aserver-master"));
         return curve::random_scalar(ctx, boot);
       }()),
+      self_key_(domain_.extract(id_)),
+      key_deriver_(domain_.ctx(), self_key_),
       trace_ledger_(id_ + "/tr"),
-      rng_(seed_for(seed, "aserver-rng")) {
-  self_key_ = domain_.extract(id_);
-  key_deriver_ = ibc::SharedKeyDeriver(domain_.ctx(), self_key_);
-}
+      rng_(seed_for(seed, "aserver-rng")) {}
 
 AServer::AServer(sim::Network& net, const ibc::Domain& shared_domain,
                  std::string id, RandomSource& seed)
     : net_(&net),
       id_(std::move(id)),
       domain_(shared_domain),
+      self_key_(domain_.extract(id_)),
+      key_deriver_(domain_.ctx(), self_key_),
       trace_ledger_(id_ + "/tr"),
-      rng_(seed_for(seed, "aserver-replica-rng")) {
-  self_key_ = domain_.extract(id_);
-  key_deriver_ = ibc::SharedKeyDeriver(domain_.ctx(), self_key_);
-}
+      rng_(seed_for(seed, "aserver-replica-rng")) {}
 
 curve::Point AServer::provision(std::string_view entity_id) const {
   return domain_.extract(entity_id);
@@ -84,9 +82,13 @@ bool AServer::verify_physician(const std::string& physician_id,
   return ibc::ibs_verify(pub(), physician_id, message, sig);
 }
 
-const ibc::IbsSigner& AServer::signer() {
-  if (!signer_.has_value()) signer_.emplace(domain_.ctx(), self_key_, id_);
-  return *signer_;
+const AServer::PasscodeIssuer& AServer::passcode_issuer() {
+  if (!passcode_issuer_.has_value()) {
+    passcode_issuer_.emplace(
+        PasscodeIssuer{ibc::IbsSigner(domain_.ctx(), self_key_, id_),
+                       ibc::IbeEncryptor(pub())});
+  }
+  return *passcode_issuer_;
 }
 
 // ---- SServer ---------------------------------------------------------------

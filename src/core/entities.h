@@ -25,6 +25,7 @@
 #include "src/core/record.h"
 #include "src/ibc/domain.h"
 #include "src/ibc/hibc.h"
+#include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
 #include "src/ledger/ledger.h"
 #include "src/peks/peks.h"
@@ -113,9 +114,12 @@ class AServer {
   /// queue: every physician IBS in the batch goes through a single
   /// PairingCoalescer drain (fused Miller products, one batched final
   /// exponentiation), instead of two full pairings per request. result[i]
-  /// is exactly what handle_emergency_auth(reqs[i]) would have returned had
-  /// the requests arrived one at a time in order (including replay-cache
-  /// effects between duplicates).
+  /// is accepted or refused exactly as handle_emergency_auth(reqs[i]) would
+  /// have been had the requests arrived one at a time in order (including
+  /// replay-cache effects between duplicates), and the TR log grows the
+  /// same way. Passcodes are issued on `pool` from per-request streams
+  /// forked off the A-server's rng, so the bytes do not depend on the
+  /// thread count (DESIGN.md §9).
   std::vector<std::optional<EmergencyAuthOutcome>> handle_emergency_auth_batch(
       std::span<const EmergencyAuthRequest> reqs,
       par::ThreadPool* pool = nullptr);
@@ -140,18 +144,38 @@ class AServer {
   }
 
  private:
-  /// Steps shared by the single and batched handlers once the physician's
-  /// IBS has been verified: on-duty and pseudonym checks, passcode issuance,
-  /// TR trace append.
-  std::optional<EmergencyAuthOutcome> finish_emergency_auth(
-      const EmergencyAuthRequest& req);
-
   /// Per-physician precomputation: what verifying the physician's IBS and
   /// deriving ϖ would otherwise hash and pair on every request.
   struct PhysicianLink {
     ibc::IbsVerifier verifier;  // H1(ID_i) and ê(H1(ID_i), Ppub)
     Bytes varpi;                // ϖ = KDF(ê(Γ_A, H1(ID_i)))
   };
+
+  // Both emergency handlers run §IV.E.2 steps 2–3 in three phases
+  // (DESIGN.md §9): admit (IBS verified, replay cache, on-duty link) and
+  // commit (TR trace) are serial in arrival order; issue in between is a
+  // pure function of its arguments, so the batch runs it on the pool.
+
+  /// Γ_A's fixed-key state for issuing passcodes.
+  struct PasscodeIssuer {
+    ibc::IbsSigner signer;  // H1(ID_A) and ê(H1(ID_A), P)
+    ibc::IbeEncryptor ibe;  // Miller lines of Ppub
+  };
+  /// Built by the first admitted emergency request, in serial code, so
+  /// set-up pays nothing for it and no pool thread ever builds it.
+  const PasscodeIssuer& passcode_issuer();
+
+  /// Issue: pseudonym decode and subgroup guard, then the nonce, its AEAD
+  /// under ϖ, the passcode IBE to TP and the three A-server signatures, all
+  /// drawn from `rng` and stamped t11. nullopt for a malformed TP. Reads
+  /// only immutable state, so distinct requests may be issued concurrently.
+  std::optional<EmergencyAuthOutcome> issue_passcode(
+      const EmergencyAuthRequest& req, const PhysicianLink& link,
+      const PasscodeIssuer& issuer, RandomSource& rng, uint64_t t11) const;
+  /// Commit: the TR trace of an issued passcode, to the loose log and its
+  /// hash-chained ledger mirror.
+  void commit_trace(const EmergencyAuthRequest& req, uint64_t t11);
+
   /// The link of an on-duty physician, built on first use; nullptr for any
   /// other id, so a request naming an unknown physician never adds an entry.
   const PhysicianLink* physician_link(const std::string& physician_id);
@@ -177,15 +201,12 @@ class AServer {
     }
     return verify_physician(req.physician_id, req.body(), sig) && fresh(req);
   }
-  /// Γ_A's precomputed signer, built on first use.
-  const ibc::IbsSigner& signer();
-
   sim::Network* net_;
   std::string id_;
   ibc::Domain domain_;
   curve::Point self_key_;  // Γ_A (signing / shared keys)
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_A NIKE precomputation
-  std::optional<ibc::IbsSigner> signer_;
+  std::optional<PasscodeIssuer> passcode_issuer_;
   std::map<std::string, bool> on_duty_;
   std::map<std::string, PhysicianLink> physician_links_;
   std::vector<TraceRecord> traces_;

@@ -11,17 +11,24 @@ Bytes kem_key(const curve::Gt& g) {
   return hash::hkdf(g.to_bytes(), {}, to_bytes("hcpp-ibe-kem"), 32);
 }
 
-IbeCiphertext encrypt_to_q(const PublicParams& pub, const curve::Point& q_id,
-                           BytesView plaintext, RandomSource& rng) {
-  const curve::CurveCtx& ctx = *pub.ctx;
+// BasicIdent under a recipient base g_id = ê(Q_id, Ppub): every encryptor
+// below differs only in how it obtains g_id, so all make the same draws.
+IbeCiphertext encrypt_with_base(const curve::CurveCtx& ctx,
+                                const curve::Gt& g_id, BytesView plaintext,
+                                RandomSource& rng) {
   mp::U512 r = curve::random_scalar(ctx, rng);
   IbeCiphertext ct;
   ct.u = curve::mul_generator(ctx, r);
-  curve::Gt g = curve::pairing(ctx, q_id, pub.p_pub).pow(r);
-  Bytes key = kem_key(g);
+  Bytes key = kem_key(g_id.pow(r));
   ct.box = cipher::aead_encrypt(key, plaintext, {}, rng);
   secure_wipe(key);
   return ct;
+}
+
+IbeCiphertext encrypt_to_q(const PublicParams& pub, const curve::Point& q_id,
+                           BytesView plaintext, RandomSource& rng) {
+  return encrypt_with_base(*pub.ctx, curve::pairing(*pub.ctx, q_id, pub.p_pub),
+                           plaintext, rng);
 }
 
 }  // namespace
@@ -69,13 +76,18 @@ IbePrecomputed::IbePrecomputed(const PublicParams& pub,
 
 IbeCiphertext IbePrecomputed::encrypt(BytesView plaintext,
                                       RandomSource& rng) const {
-  mp::U512 r = curve::random_scalar(*ctx_, rng);
-  IbeCiphertext ct;
-  ct.u = curve::mul_generator(*ctx_, r);
-  Bytes key = kem_key(g_id_.pow(r));
-  ct.box = cipher::aead_encrypt(key, plaintext, {}, rng);
-  secure_wipe(key);
-  return ct;
+  return encrypt_with_base(*ctx_, g_id_, plaintext, rng);
+}
+
+IbeEncryptor::IbeEncryptor(const PublicParams& pub)
+    : ctx_(pub.ctx), pre_(*pub.ctx, pub.p_pub) {}
+
+IbeCiphertext IbeEncryptor::encrypt_to_point(const curve::Point& recipient,
+                                             BytesView plaintext,
+                                             RandomSource& rng) const {
+  // ê(TP, Ppub) = ê(Ppub, TP): the pairing is symmetric.
+  return encrypt_with_base(*ctx_, pre_.pairing_with(recipient), plaintext,
+                           rng);
 }
 
 namespace {

@@ -200,7 +200,6 @@ uint64_t Ledger::append(const AccessEvent& ev) {
     wal_frame(kFrameEntry, body.data());
   }
   uint64_t seq = e.seq;
-  notifications_.push_back({seq, ev});
   entries_.push_back(std::move(e));
   obs::count(obs::kLedgerAppends);
   obs::count(obs::kLedgerNotifications);
@@ -364,8 +363,11 @@ const AnchoredCheckpoint* Ledger::anchor_for_epoch(uint64_t epoch) const {
 }
 
 std::vector<Notification> Ledger::drain_notifications() {
-  std::vector<Notification> out = std::move(notifications_);
-  notifications_.clear();
+  std::vector<Notification> out;
+  out.reserve(entries_.size() - notified_);
+  for (; notified_ < entries_.size(); ++notified_) {
+    out.push_back({notified_, entries_[notified_].event()});
+  }
   return out;
 }
 
@@ -480,6 +482,7 @@ Ledger Ledger::recover(const std::string& path, std::string id,
     obs::count(obs::kLedgerTornTailBytes, rep.torn_bytes);
   }
   obs::count(obs::kLedgerRecoveredEntries, rep.entries);
+  led.notified_ = led.entries_.size();  // replayed, not newly accessed
   led.attach_wal(path);
   if (report != nullptr) *report = rep;
   return led;
@@ -488,6 +491,7 @@ Ledger Ledger::recover(const std::string& path, std::string id,
 Ledger Ledger::from_entries(std::string id, std::vector<LedgerEntry> entries) {
   Ledger led(std::move(id));
   led.entries_ = std::move(entries);
+  led.notified_ = led.entries_.size();
   return led;
 }
 

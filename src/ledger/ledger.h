@@ -207,11 +207,13 @@ class Ledger {
   [[nodiscard]] const AnchoredCheckpoint* anchor_for_epoch(uint64_t epoch) const;
 
   // ---- patient notification stream ---------------------------------------
-  /// Emergency-access events queued since the last drain (kAccess kind; TR
-  /// traces notify too — the patient wants to know either way).
+  /// Emergency-access events appended since the last drain (kAccess kind;
+  /// TR traces notify too — the patient wants to know either way). The
+  /// queue is a cursor into the chain, decoded from the entries' payloads
+  /// on drain, so an undrained ledger holds no second copy of its events.
   std::vector<Notification> drain_notifications();
   [[nodiscard]] size_t pending_notifications() const noexcept {
-    return notifications_.size();
+    return entries_.size() - notified_;
   }
 
   // ---- crash-safe persistence --------------------------------------------
@@ -241,7 +243,7 @@ class Ledger {
   std::vector<LedgerEntry> entries_;
   std::vector<AnchoredCheckpoint> anchors_;
   std::map<uint64_t, Checkpoint> pending_checkpoints_;
-  std::vector<Notification> notifications_;
+  uint64_t notified_ = 0;  // entries [notified_, size()) await a drain
   std::string wal_path_;
   std::ofstream wal_;
 };

@@ -45,16 +45,6 @@ Bytes crypt_node(BytesView lambda, BytesView node) {
   return cipher::chacha20(lambda, nonce, 0, node);
 }
 
-// Per-shard randomness: fork one deterministic child stream per shard off
-// the parent rng. Seeds are drawn serially *before* dispatch, so for a fixed
-// parent seed and shard count every worker sees the same stream.
-std::vector<cipher::Drbg> fork_streams(RandomSource& rng, size_t shards) {
-  std::vector<cipher::Drbg> out;
-  out.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) out.emplace_back(rng.bytes(32));
-  return out;
-}
-
 Bytes trapdoor_tag(BytesView address, BytesView mask) {
   Bytes input = concat(address, mask);
   Bytes digest = hash::sha256_bytes(input);
@@ -206,14 +196,16 @@ SecureIndex build_index(std::span<const PlainFile> files, const Keys& keys,
     // Sharded build: the index *structure* is thread-count-invariant; only
     // λ keys and padding come from the forked per-shard streams.
     size_t kw_shards = pool->shard_count(lists.size());
-    std::vector<cipher::Drbg> kw_streams = fork_streams(rng, kw_shards);
+    std::vector<cipher::Drbg> kw_streams =
+        cipher::fork_streams(rng, kw_shards);
     shard_entries.resize(kw_shards);
     pool->for_shards(lists.size(), [&](size_t shard, size_t begin,
                                        size_t end) {
       shard_entries[shard] = write_lists(kw_streams[shard], begin, end);
     });
     size_t fill_shards = pool->shard_count(array_size);
-    std::vector<cipher::Drbg> fill_streams = fork_streams(rng, fill_shards);
+    std::vector<cipher::Drbg> fill_streams =
+        cipher::fork_streams(rng, fill_shards);
     pool->for_shards(array_size, [&](size_t shard, size_t begin, size_t end) {
       fill_slots(fill_streams[shard], begin, end);
     });
@@ -235,7 +227,7 @@ EncryptedCollection encrypt_collection(std::span<const PlainFile> files,
     return ec;
   }
   size_t shards = pool->shard_count(files.size());
-  std::vector<cipher::Drbg> streams = fork_streams(rng, shards);
+  std::vector<cipher::Drbg> streams = cipher::fork_streams(rng, shards);
   std::vector<std::vector<std::pair<FileId, Bytes>>> shard_out(shards);
   pool->for_shards(files.size(), [&](size_t shard, size_t begin, size_t end) {
     cipher::Drbg& srng = streams[shard];

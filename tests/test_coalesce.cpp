@@ -12,6 +12,7 @@
 #include "src/core/coalesce.h"
 #include "src/core/search_service.h"
 #include "src/core/setup.h"
+#include "src/mp/prime.h"
 #include "src/par/pool.h"
 
 namespace hcpp::core {
@@ -400,6 +401,104 @@ TEST(EmergencyAuthBatch, PooledDrainSameAcceptance) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(got[i].has_value()) << i;
   }
+}
+
+/// An on-curve point outside the order-q subgroup.
+curve::Point small_subgroup_point(const curve::CurveCtx& ctx) {
+  cipher::Drbg rng = test_rng("auth-batch-small-subgroup");
+  curve::Point low_order = curve::Point::at_infinity();
+  for (int tries = 0; tries < 64 && low_order.infinity; ++tries) {
+    field::Fp x(&ctx.fp, mp::random_below(ctx.p, rng));
+    auto y = (x.sqr() * x + x).sqrt();
+    if (!y.has_value()) continue;
+    low_order = curve::mul(ctx, curve::Point{x, *y, false}, ctx.q);
+  }
+  return low_order;
+}
+
+/// The mixed batch of MatchesSingleHandlerOutcomes plus a validly signed
+/// request whose TP fails the subgroup guard. Same bytes for every
+/// deployment of one seed.
+std::vector<EmergencyAuthRequest> mixed_batch(Deployment& d) {
+  cipher::Drbg rng = test_rng("auth-batch-mixed");
+  const std::string on = d.on_duty->id();
+  EmergencyAuthRequest ok1 = make_auth_request(d, on, rng, 0);
+  EmergencyAuthRequest ok2 = make_auth_request(d, on, rng, 1);
+  EmergencyAuthRequest off_duty =
+      make_auth_request(d, d.off_duty->id(), rng, 2);
+  EmergencyAuthRequest bad_sig = make_auth_request(d, on, rng, 3);
+  bad_sig.sig[4] ^= 1;
+  EmergencyAuthRequest bad_tp;
+  bad_tp.physician_id = on;
+  bad_tp.tp = curve::point_to_bytes(small_subgroup_point(d.aserver->ctx()));
+  bad_tp.t = d.net->clock().now() + 4;
+  bad_tp.sig = ibc::ibs_sign(d.aserver->ctx(), d.aserver->provision(on), on,
+                             bad_tp.body(), rng)
+                   .to_bytes();
+  return {ok1, ok2, off_duty, bad_sig, ok1, bad_tp};
+}
+
+/// Every byte of an outcome (empty for a refusal).
+Bytes outcome_bytes(const std::optional<AServer::EmergencyAuthOutcome>& o) {
+  io::Writer w;
+  if (!o.has_value()) return w.take();
+  w.bytes(o->to_physician.enc_nonce);
+  w.u64(o->to_physician.t);
+  w.bytes(o->to_physician.sig);
+  w.str(o->to_pdevice.physician_id);
+  w.bytes(o->to_pdevice.ibe_blob);
+  w.u64(o->to_pdevice.t);
+  w.bytes(o->to_pdevice.sig);
+  w.bytes(o->to_pdevice.audit_sig);
+  return w.take();
+}
+
+TEST(EmergencyAuthBatch, OutcomesIdenticalAtEveryThreadCount) {
+  // Issue runs on the pool from per-request streams forked in arrival
+  // order, so outcomes, the TR log and the TR ledger must not depend on
+  // whether (or on how many threads) the batch ran pooled.
+  struct Run {
+    std::vector<Bytes> outcomes;
+    std::vector<Bytes> traces;
+    Bytes ledger_head;
+  };
+  auto run_with = [](par::ThreadPool* pool) {
+    Deployment d = Deployment::create(small_config(27));
+    std::vector<EmergencyAuthRequest> reqs = mixed_batch(d);
+    Run r;
+    for (const auto& o : d.aserver->handle_emergency_auth_batch(reqs, pool)) {
+      r.outcomes.push_back(outcome_bytes(o));
+    }
+    for (const TraceRecord& t : d.aserver->traces()) {
+      r.traces.push_back(t.body());
+    }
+    r.ledger_head = d.aserver->trace_ledger().head_hash();
+    return r;
+  };
+  par::ThreadPool one(1, "test-auth-batch-1");
+  par::ThreadPool four(4, "test-auth-batch-4");
+  const Run serial = run_with(nullptr);
+  for (par::ThreadPool* pool : {&one, &four}) {
+    const Run pooled = run_with(pool);
+    EXPECT_EQ(pooled.outcomes, serial.outcomes) << pool->size();
+    EXPECT_EQ(pooled.traces, serial.traces) << pool->size();
+    EXPECT_EQ(pooled.ledger_head, serial.ledger_head) << pool->size();
+  }
+
+  // The acceptance pattern is MatchesSingleHandlerOutcomes' plus the
+  // subgroup guard's refusal, and the single handler agrees request by
+  // request on a same-seed deployment.
+  const std::vector<bool> want = {true, true, false, false, false, false};
+  ASSERT_EQ(serial.outcomes.size(), want.size());
+  Deployment d = Deployment::create(small_config(27));
+  std::vector<EmergencyAuthRequest> reqs = mixed_batch(d);
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(!serial.outcomes[i].empty(), want[i]) << i;
+    EXPECT_EQ(d.aserver->handle_emergency_auth(reqs[i]).has_value(), want[i])
+        << i;
+  }
+  EXPECT_EQ(serial.traces.size(), 2u);
+  EXPECT_EQ(d.aserver->traces().size(), 2u);
 }
 
 }  // namespace

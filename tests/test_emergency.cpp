@@ -288,6 +288,23 @@ TEST(EmergencyPrecomp, WarmIncidentCostsFivePairingsNoHashToPoint) {
   obs::attach(previous);
 }
 
+TEST(EmergencyPrecomp, WarmIncidentPaysOneFreshPairing) {
+  // Of the five, only the P-device's passcode decrypt pairs from scratch:
+  // the A-server's passcode IBE evaluates its cached Ppub lines, beside the
+  // three fixed ê(W, P) verifications.
+  Deployment d = Deployment::create(small_config(26));
+  ASSERT_TRUE(pdevice_incident(d, *d.on_duty));
+
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  EXPECT_TRUE(pdevice_incident(d, *d.on_duty));
+  obs::attach(previous);
+  EXPECT_EQ(reg.counter(obs::kPairing), 1u);
+  EXPECT_EQ(reg.counter(obs::kPairingFixed), 4u);
+  EXPECT_EQ(reg.counter(obs::kPairingProductTerms), 0u);
+}
+
 TEST(EmergencyPrecomp, UnregisteredPhysicianIdsAddNoCacheEntries) {
   Deployment d = Deployment::create(small_config(22));
   ASSERT_TRUE(pdevice_incident(d, *d.on_duty));

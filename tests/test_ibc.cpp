@@ -240,6 +240,35 @@ INSTANTIATE_TEST_SUITE_P(BothParamSets, IbsSignerOracle,
                          ::testing::Values(curve::ParamSet::kTest,
                                            curve::ParamSet::kProduction));
 
+// IbeEncryptor against its oracle ibe_encrypt_to_point: the Ppub line cache
+// evaluates ê(Ppub, TP) where the oracle pairs ê(TP, Ppub), so byte equality
+// pins the pairing's symmetry at both parameter sets.
+class IbeEncryptorOracle : public ::testing::TestWithParam<curve::ParamSet> {};
+
+TEST_P(IbeEncryptorOracle, EncryptToPointMatchesOracleByteForByte) {
+  const curve::CurveCtx& c = curve::params(GetParam());
+  cipher::Drbg boot(to_bytes("ibe-encryptor-oracle-domain"));
+  Domain d(c, boot);
+  IbeEncryptor enc(d.pub());
+  cipher::Drbg rng_a(to_bytes("ibe-encryptor-oracle-rng"));
+  cipher::Drbg rng_b(to_bytes("ibe-encryptor-oracle-rng"));
+  for (int i = 0; i < 3; ++i) {
+    // A fresh pseudonym per message: the encryptor is recipient-agnostic.
+    Domain::Pseudonym pn = d.issue_pseudonym(boot);
+    Bytes msg = to_bytes("passcode-" + std::to_string(i));
+    IbeCiphertext fast = enc.encrypt_to_point(pn.tp, msg, rng_a);
+    IbeCiphertext cold = ibe_encrypt_to_point(d.pub(), pn.tp, msg, rng_b);
+    EXPECT_EQ(fast.to_bytes(), cold.to_bytes()) << i;
+    EXPECT_EQ(ibe_decrypt(c, pn.gamma, fast), msg) << i;
+  }
+  // Both streams advanced identically.
+  EXPECT_EQ(rng_a.bytes(16), rng_b.bytes(16));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothParamSets, IbeEncryptorOracle,
+                         ::testing::Values(curve::ParamSet::kTest,
+                                           curve::ParamSet::kProduction));
+
 TEST(IbsPrecomp, CachedVerifierVerdictsMatchIbsVerify) {
   Domain d = make_domain("ibs-verdicts");
   cipher::Drbg rng(to_bytes("ibs-verdicts-rng"));

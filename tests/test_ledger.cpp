@@ -243,6 +243,34 @@ TEST(Ledger, NotificationStream) {
   EXPECT_EQ(led.pending_notifications(), 0u);
 }
 
+TEST(Ledger, NotificationStreamResumesAfterDrainAndSkipsReplayedEntries) {
+  std::string path = temp_wal("wal-alerts");
+  {
+    Ledger led("alerts");
+    ASSERT_TRUE(led.attach_wal(path));
+    led.append(make_event(0));
+    EXPECT_EQ(led.drain_notifications().size(), 1u);
+    led.append(make_event(1));
+    led.append(make_event(2));
+    std::vector<Notification> alerts = led.drain_notifications();
+    ASSERT_EQ(alerts.size(), 2u);
+    EXPECT_EQ(alerts[0].seq, 1u);
+    EXPECT_EQ(alerts[1].event.to_bytes(), make_event(2).to_bytes());
+    EXPECT_TRUE(led.drain_notifications().empty());
+  }
+  // Recovered and adopted entries were notified (or not) before; only new
+  // appends alert the patient.
+  Ledger back = Ledger::recover(path, "alerts");
+  EXPECT_EQ(back.pending_notifications(), 0u);
+  back.append(make_event(3));
+  std::vector<Notification> alerts = back.drain_notifications();
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].seq, 3u);
+  EXPECT_EQ(Ledger::from_entries("copy", back.entries()).pending_notifications(),
+            0u);
+  std::filesystem::remove(path);
+}
+
 // ---- WAL / crash recovery --------------------------------------------------
 
 TEST(LedgerWal, RecoverReplaysAppends) {
